@@ -62,7 +62,12 @@ fn bench_ncdf(c: &mut Criterion) {
     let bytes = frame.to_bytes();
     let mut group = c.benchmark_group("ncdf");
     group.bench_function(format!("encode_{}kb", bytes.len() / 1024), |b| {
-        b.iter(|| black_box(frame.to_bytes().len()))
+        // One buffer for every iteration, as the live transports hold it.
+        let mut out = Vec::new();
+        b.iter(|| {
+            frame.encode_into(&mut out);
+            black_box(out.len())
+        })
     });
     group.bench_function(format!("decode_{}kb", bytes.len() / 1024), |b| {
         b.iter(|| black_box(ncdf::Dataset::from_bytes(&bytes).expect("valid")))

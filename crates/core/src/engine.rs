@@ -448,6 +448,7 @@ pub struct InProcessTransport {
     decision_bytes: u64,
     receiver_path: Option<PathBuf>,
     payloads: Vec<(u64, Vec<u8>)>,
+    spent: SpentBuffers,
     watermark: u64,
     track: TrackLog,
 }
@@ -459,9 +460,36 @@ impl InProcessTransport {
             decision_bytes,
             receiver_path: None,
             payloads: Vec::new(),
+            spent: SpentBuffers::default(),
             watermark: 0,
             track: TrackLog::new(),
         }
+    }
+}
+
+/// Payload buffers the receiving end is done with, kept for the next
+/// `emit` to encode into. A buffer is only ever allocated when none has
+/// come back yet, so the transports never hold more buffers than frames
+/// were in flight at once; the cap bounds what sits idle after a backlog
+/// drains.
+#[derive(Default)]
+struct SpentBuffers(Vec<Vec<u8>>);
+
+impl SpentBuffers {
+    const MAX_IDLE: usize = 4;
+
+    fn give(&mut self, buf: Vec<u8>) {
+        if self.0.len() < Self::MAX_IDLE {
+            self.0.push(buf);
+        }
+    }
+
+    /// Encode the frame at `rung` into a recycled buffer (a new one when
+    /// none has come back yet).
+    fn encode(&mut self, model: &WrfModel, rung: QosRung) -> (u64, Vec<u8>) {
+        let mut bytes = self.0.pop().unwrap_or_default();
+        qos::encode_frame_into(model, rung, &mut bytes);
+        (bytes.len() as u64, bytes)
     }
 }
 
@@ -478,8 +506,7 @@ impl FrameTransport for InProcessTransport {
         _modeled_bytes: u64,
         rung: QosRung,
     ) -> (u64, Vec<u8>) {
-        let bytes = qos::encode_frame(model, rung);
-        (bytes.len() as u64, bytes)
+        self.spent.encode(model, rung)
     }
 
     fn decision_frame_bytes(&self, _modeled_bytes: u64) -> u64 {
@@ -498,6 +525,7 @@ impl FrameTransport for InProcessTransport {
             return false; // duplicate below the watermark: replay idempotence
         }
         qos::ingest_tagged(&mut self.track, &bytes);
+        self.spent.give(bytes);
         self.watermark = id + 1;
         if let Some(path) = &self.receiver_path {
             let _ = recovery::save_receiver_state(path, self.watermark, &self.track);
@@ -522,9 +550,12 @@ impl FrameTransport for InProcessTransport {
 pub struct ChannelTransport {
     decision_bytes: u64,
     payloads: Vec<(u64, Vec<u8>)>,
+    spent: SpentBuffers,
     watermark: Arc<AtomicU64>,
     frame_tx: Option<crossbeam::channel::Sender<(u64, f64, Vec<u8>)>>,
-    ack_rx: crossbeam::channel::Receiver<u64>,
+    /// Acks carry the frame's buffer back: the receiver is the last reader
+    /// of the bytes, and the sender is about to need a buffer that size.
+    ack_rx: crossbeam::channel::Receiver<(u64, Vec<u8>)>,
     receiver: Option<std::thread::JoinHandle<TrackLog>>,
 }
 
@@ -541,7 +572,7 @@ impl ChannelTransport {
     ) -> Self {
         let watermark = Arc::new(AtomicU64::new(boot_watermark));
         let (frame_tx, frame_rx) = crossbeam::channel::bounded::<(u64, f64, Vec<u8>)>(1);
-        let (ack_tx, ack_rx) = crossbeam::channel::bounded::<u64>(1);
+        let (ack_tx, ack_rx) = crossbeam::channel::bounded::<(u64, Vec<u8>)>(1);
         let thread_mark = Arc::clone(&watermark);
         let receiver = std::thread::spawn(move || {
             let mut track = boot_track;
@@ -558,7 +589,7 @@ impl ChannelTransport {
                 }
                 // Duplicates (already below the watermark) are acked
                 // without re-applying — replay idempotence.
-                if ack_tx.send(id).is_err() {
+                if ack_tx.send((id, bytes)).is_err() {
                     break;
                 }
             }
@@ -567,6 +598,7 @@ impl ChannelTransport {
         ChannelTransport {
             decision_bytes,
             payloads: payloads.into_iter().map(|(id, _, b)| (id, b)).collect(),
+            spent: SpentBuffers::default(),
             watermark,
             frame_tx: Some(frame_tx),
             ack_rx,
@@ -583,8 +615,7 @@ impl FrameTransport for ChannelTransport {
         _modeled_bytes: u64,
         rung: QosRung,
     ) -> (u64, Vec<u8>) {
-        let bytes = qos::encode_frame(model, rung);
-        (bytes.len() as u64, bytes)
+        self.spent.encode(model, rung)
     }
 
     fn decision_frame_bytes(&self, _modeled_bytes: u64) -> u64 {
@@ -607,7 +638,7 @@ impl FrameTransport for ChannelTransport {
             return false;
         }
         match self.ack_rx.recv() {
-            Ok(acked) if acked == id => {}
+            Ok((acked, spent)) if acked == id => self.spent.give(spent),
             _ => return false,
         }
         id >= mark_before

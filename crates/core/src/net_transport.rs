@@ -416,9 +416,9 @@ fn serve_connection(
             && match rung {
                 // Full resolution keeps the legacy contract: a decodable
                 // dataset counts as applied even when no eye is found.
-                QosRung::FullRes => match ncdf::Dataset::from_bytes(&payload) {
-                    Ok(ds) => {
-                        track.ingest(&ds);
+                QosRung::FullRes => match ncdf::DatasetView::parse(&payload) {
+                    Ok(view) => {
+                        track.ingest(&view);
                         true
                     }
                     Err(_) => false,

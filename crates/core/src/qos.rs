@@ -31,7 +31,7 @@
 //! [`crate::net_transport`]), so receivers decode correctly whatever mix
 //! of rungs a run produced.
 
-use ncdf::{codec, AttrValue, Data, Dataset};
+use ncdf::{codec, AttrValue, Data, Dataset, DatasetView};
 use std::collections::HashMap;
 use viz::{EyeFix, TrackLog};
 use wrf::WrfModel;
@@ -448,35 +448,55 @@ fn strided_indices(shape: &[usize], d: usize) -> Vec<usize> {
 /// The two cases never collide: rung tags are `1..=4`, while an `NCDL`
 /// blob starts with `0x4E` (`'N'`).
 pub fn encode_frame(model: &WrfModel, rung: QosRung) -> Vec<u8> {
-    match rung {
-        QosRung::FullRes => model.frame().to_bytes().to_vec(),
-        _ => {
-            let mut out = vec![rung.as_byte()];
-            out.extend_from_slice(&encode_body(model, rung));
-            out
-        }
+    let mut out = Vec::new();
+    encode_frame_into(model, rung, &mut out);
+    out
+}
+
+/// [`encode_frame`] into a caller-owned buffer, replacing its contents —
+/// what the live transports call with a buffer the receiver has handed
+/// back, so a steady run of frames is encoded without a fresh allocation.
+pub fn encode_frame_into(model: &WrfModel, rung: QosRung, out: &mut Vec<u8>) {
+    out.clear();
+    if rung != QosRung::FullRes {
+        out.push(rung.as_byte());
     }
+    append_body(model, rung, out);
 }
 
 /// Encode just the rung body (no tag) — what the TCP wire ships, with
 /// the rung carried in the frame header instead.
 pub fn encode_body(model: &WrfModel, rung: QosRung) -> Vec<u8> {
+    let mut out = Vec::new();
+    append_body(model, rung, &mut out);
+    out
+}
+
+/// Append the rung body to `out`, which is empty or holds only the rung
+/// tag (never the case for a full-resolution frame, whose encoder replaces
+/// the buffer's contents).
+fn append_body(model: &WrfModel, rung: QosRung, out: &mut Vec<u8>) {
     match rung {
-        QosRung::FullRes => model.frame().to_bytes().to_vec(),
-        QosRung::DeltaQuantized => codec::encode_quantized(&model.frame()).to_vec(),
-        QosRung::Thumbnail => {
-            codec::encode_quantized(&thumbnail_dataset(&model.frame(), THUMBNAIL_STRIDE)).to_vec()
+        QosRung::FullRes => model.frame().encode_into(out),
+        QosRung::DeltaQuantized => out.extend_from_slice(&codec::encode_quantized(&model.frame())),
+        QosRung::Thumbnail => out.extend_from_slice(&codec::encode_quantized(&thumbnail_dataset(
+            &model.frame(),
+            THUMBNAIL_STRIDE,
+        ))),
+        QosRung::TrackOnly | QosRung::Pause => {
+            out.extend_from_slice(&encode_fix(&model_fix(model)))
         }
-        QosRung::TrackOnly | QosRung::Pause => encode_fix(&model_fix(model)).to_vec(),
     }
 }
 
 /// Apply a rung body at the receiving end. Returns true when the track
-/// accepted a fix from it.
+/// accepted a fix from it. A full-resolution body is validated and
+/// scanned where it lies ([`DatasetView`]): only its pressure variables
+/// are ever converted.
 pub fn apply_body(track: &mut TrackLog, rung: QosRung, body: &[u8]) -> bool {
     match rung {
-        QosRung::FullRes => match Dataset::from_bytes(body) {
-            Ok(ds) => track.ingest(&ds).is_some(),
+        QosRung::FullRes => match DatasetView::parse(body) {
+            Ok(view) => track.ingest(&view).is_some(),
             Err(_) => false,
         },
         QosRung::DeltaQuantized | QosRung::Thumbnail => match codec::decode_quantized(body) {
@@ -717,6 +737,69 @@ mod tests {
                 assert_eq!(fix, truth);
             }
         }
+    }
+
+    /// A structurally valid body off the wire with one poisoned value: the
+    /// receiver must decline it, not die on it.
+    #[test]
+    fn nan_in_a_pressure_payload_is_declined_without_a_panic() {
+        /// `body` with the middle f32 of variable `var` overwritten by NaN.
+        fn poison(body: &[u8], var: &str) -> Vec<u8> {
+            let view = DatasetView::parse(body).expect("valid");
+            let raw = view.var(var).expect("present").raw();
+            let cell = raw.as_ptr() as usize - body.as_ptr() as usize + 4 * (raw.len() / 8);
+            let mut bad = body.to_vec();
+            bad[cell..cell + 4].copy_from_slice(&f32::NAN.to_le_bytes());
+            assert!(DatasetView::parse(&bad).is_ok(), "still a valid frame");
+            bad
+        }
+        let mut m = model();
+        m.advance_steps(3, 1).expect("finite");
+        // The variable the eye is read from: the parent field, then — once
+        // a nest is up — the nest field.
+        for eye_var in ["pressure", "nest_pressure"] {
+            if eye_var == "nest_pressure" {
+                m.spawn_nest();
+                m.advance_steps(2, 1).expect("finite");
+            }
+            let good = encode_body(&m, QosRung::FullRes);
+            let mut track = TrackLog::new();
+            assert!(apply_body(&mut track, QosRung::FullRes, &good));
+            let before = track.clone();
+            let bad = poison(&good, eye_var);
+            assert!(!apply_body(&mut track, QosRung::FullRes, &bad));
+            assert!(!ingest_tagged(&mut track, &bad));
+            assert_eq!(track, before, "track unchanged");
+            // A variable the viewer never reads does not cost the fix.
+            assert!(apply_body(
+                &mut track,
+                QosRung::FullRes,
+                &poison(&good, "qvapor")
+            ));
+            assert_eq!(track.fixes()[0], track.fixes()[1]);
+        }
+    }
+
+    #[test]
+    fn recycled_buffers_encode_the_same_frame_bytes() {
+        let mut m = model();
+        m.advance_steps(2, 1).expect("finite");
+        let mut buf = vec![0xa5u8; 3];
+        for rung in QosRung::ALL {
+            // Whatever the buffer last held — a larger frame, a 33-byte
+            // fix — the next encode replaces it.
+            encode_frame_into(&m, rung, &mut buf);
+            assert_eq!(buf, encode_frame(&m, rung));
+            match rung {
+                QosRung::FullRes => assert_eq!(buf, encode_body(&m, rung)),
+                _ => {
+                    assert_eq!(buf[0], rung.as_byte());
+                    assert_eq!(buf[1..], encode_body(&m, rung));
+                }
+            }
+        }
+        encode_frame_into(&m, QosRung::FullRes, &mut buf);
+        assert_eq!(buf, m.frame().to_bytes().to_vec());
     }
 
     #[test]

@@ -5,10 +5,15 @@
 //! plus the exact `Dataset::to_bytes` wire format as the baseline the
 //! AQZ1 rung is traded against. The uncompressed payload size is printed
 //! once so per-iteration times convert directly to throughput.
+//!
+//! A second group times the exact format on the largest frame the live
+//! pipeline ships — the 10 km parent grid plus its nest, ≈ 9 MB — the way
+//! the pipeline uses it: encode into a recycled buffer, full owned decode,
+//! and the viewer's borrowed parse that converts `pressure` only.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ncdf::codec::{decode_quantized, encode_quantized};
-use ncdf::{AttrValue, Data, Dataset};
+use ncdf::{AttrValue, Data, Dataset, DatasetView};
 
 /// A smooth synthetic frame: 2 f64 fields on a `ny`×`nx` grid plus a
 /// byte mask, mirroring what the serving tier actually ships.
@@ -33,6 +38,93 @@ fn frame(ny: usize, nx: usize) -> Dataset {
     ds.add_var("mask", &[y, x], Data::U8(vec![1; ny * nx]))
         .unwrap();
     ds
+}
+
+/// The shape of `WrfModel::frame()` at 10 km with the nest up: five f32
+/// fields and a byte mask on 557×645, five f32 fields on the 306×241 nest.
+fn frame_10km_with_nest() -> Dataset {
+    let mut ds = Dataset::new();
+    ds.set_attr("title", AttrValue::Text("wrf-lite history frame".into()));
+    ds.set_attr("sim_minutes", AttrValue::F64(1440.0));
+    ds.set_attr(
+        "domain_lonlat",
+        AttrValue::F64List(vec![60.0, -10.0, 120.0, 40.0]),
+    );
+    let smooth = |n: usize, base: f32, amp: f32| -> Data {
+        Data::F32(
+            (0..n)
+                .map(|i| base + amp * ((i % 977) as f32 * 0.013).sin())
+                .collect(),
+        )
+    };
+    let (ny, nx) = (557, 645);
+    let y = ds.add_dim("south_north", ny).unwrap();
+    let x = ds.add_dim("west_east", nx).unwrap();
+    for (name, base, amp) in [
+        ("eta", 0.0, 3.0),
+        ("u", 0.0, 25.0),
+        ("v", 0.0, 25.0),
+        ("qvapor", 0.012, 0.004),
+        ("pressure", 1000.0, 30.0),
+    ] {
+        ds.add_var(name, &[y, x], smooth(ny * nx, base, amp))
+            .unwrap();
+    }
+    ds.add_var("landmask", &[y, x], Data::U8(vec![1; ny * nx]))
+        .unwrap();
+    let (nny, nnx) = (306, 241);
+    let nyd = ds.add_dim("nest_south_north", nny).unwrap();
+    let nxd = ds.add_dim("nest_west_east", nnx).unwrap();
+    for (name, base, amp) in [
+        ("nest_eta", 0.0, 3.0),
+        ("nest_u", 0.0, 25.0),
+        ("nest_v", 0.0, 25.0),
+        ("nest_qvapor", 0.012, 0.004),
+        ("nest_pressure", 990.0, 30.0),
+    ] {
+        ds.add_var(name, &[nyd, nxd], smooth(nny * nnx, base, amp))
+            .unwrap();
+    }
+    ds
+}
+
+#[allow(clippy::neg_cmp_op_on_partial_ord)] // mirrors the viewer's NaN-catching compare
+fn bench_frame_10km(c: &mut Criterion) {
+    let ds = frame_10km_with_nest();
+    let exact = ds.to_bytes();
+    println!("frame10km: exact {} B", exact.len());
+
+    let mut g = c.benchmark_group("frame10km");
+    g.bench_function("exact_encode_into", |b| {
+        let mut out = Vec::new();
+        b.iter(|| {
+            ds.encode_into(&mut out);
+            black_box(out.len())
+        })
+    });
+    g.bench_function("exact_decode", |b| {
+        b.iter(|| Dataset::from_bytes(&exact).expect("self-produced blob decodes"))
+    });
+    g.bench_function("exact_view_scan_pressure", |b| {
+        b.iter(|| {
+            let view = DatasetView::parse(&exact).expect("self-produced blob parses");
+            let pressure = view.var("pressure").expect("present");
+            // The viewer's scan (`viz::track`): one predictable branch per
+            // element; the NaN exit keeps it a branch rather than a select,
+            // whose dependency chain is several times slower.
+            let mut min = f32::INFINITY;
+            for v in pressure.f32s().expect("f32 payload") {
+                if !(v >= min) {
+                    if v.is_nan() {
+                        return f32::NAN;
+                    }
+                    min = v;
+                }
+            }
+            min
+        })
+    });
+    g.finish();
 }
 
 fn bench_codec(c: &mut Criterion) {
@@ -62,5 +154,5 @@ fn bench_codec(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_codec);
+criterion_group!(benches, bench_codec, bench_frame_10km);
 criterion_main!(benches);

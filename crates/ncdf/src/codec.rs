@@ -1,10 +1,13 @@
 //! Binary encoder/decoder for [`Dataset`].
 //!
-//! Encoding uses `bytes::BufMut` over a pre-sized `BytesMut`; decoding uses
-//! a bounds-checked cursor (never panics on truncated input — every read is
-//! validated and surfaces [`NcdfError::Truncated`]).
+//! The exact encoder writes through `bytes::BufMut` into a caller-owned
+//! `Vec<u8>`, payloads in bulk; decoding uses a bounds-checked cursor (never
+//! panics on truncated input — every read is validated and surfaces
+//! [`NcdfError::Truncated`]). The exact decoder itself is
+//! [`DatasetView::parse`].
 
 use crate::dataset::{Dataset, Dim, DimId, Variable};
+use crate::view::DatasetView;
 use crate::{AttrValue, DType, Data, NcdfError, MAGIC, VERSION};
 use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::BTreeMap;
@@ -18,129 +21,38 @@ const ATTR_F64LIST: u8 = 3;
 impl Dataset {
     /// Serialize to a single binary blob.
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_size_hint());
-        buf.put_slice(MAGIC);
-        buf.put_u16_le(VERSION);
-        put_attrs(&mut buf, &self.attrs);
-        buf.put_u32_le(self.dims.len() as u32);
-        for d in &self.dims {
-            put_string(&mut buf, &d.name);
-            buf.put_u64_le(d.len as u64);
-        }
-        buf.put_u32_le(self.vars.len() as u32);
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        Bytes::from_vec(out)
+    }
+
+    /// Serialize into `out`, replacing whatever it held. The bytes are
+    /// exactly those of [`Dataset::to_bytes`]; a caller that hands the same
+    /// buffer back frame after frame pays no allocation once its capacity
+    /// has reached the frame size.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        out.reserve(self.encoded_size_hint());
+        out.put_slice(MAGIC);
+        out.put_u16_le(VERSION);
+        put_attrs(out, &self.attrs);
+        put_dims(out, &self.dims);
+        out.put_u32_le(self.vars.len() as u32);
         for v in &self.vars {
-            put_string(&mut buf, &v.name);
-            buf.put_u8(v.dtype().tag());
-            buf.put_u32_le(v.dims.len() as u32);
-            for &DimId(i) in &v.dims {
-                buf.put_u32_le(i);
-            }
-            put_attrs(&mut buf, &v.attrs);
-            buf.put_u64_le(v.data.len() as u64);
+            put_var_header(out, v);
             match &v.data {
-                Data::F32(xs) => xs.iter().for_each(|&x| buf.put_f32_le(x)),
-                Data::F64(xs) => xs.iter().for_each(|&x| buf.put_f64_le(x)),
-                Data::I32(xs) => xs.iter().for_each(|&x| buf.put_i32_le(x)),
-                Data::U8(xs) => buf.put_slice(xs),
+                Data::F32(xs) => put_le(out, xs, f32::to_le_bytes),
+                Data::F64(xs) => put_le(out, xs, f64::to_le_bytes),
+                Data::I32(xs) => put_le(out, xs, i32::to_le_bytes),
+                Data::U8(xs) => out.put_slice(xs),
             }
         }
-        buf.freeze()
     }
 
     /// Parse a blob produced by [`Dataset::to_bytes`], validating structure
     /// and shapes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, NcdfError> {
-        let mut c = Cursor::new(bytes);
-        let magic = c.take(4, "magic")?;
-        if magic != MAGIC {
-            return Err(NcdfError::BadMagic);
-        }
-        let version = c.u16("version")?;
-        if version != VERSION {
-            return Err(NcdfError::UnsupportedVersion(version));
-        }
-        let attrs = get_attrs(&mut c)?;
-
-        let ndims = c.u32("dim count")? as usize;
-        c.check_count(ndims as u64, 9, "dimension")?;
-        let mut dims = Vec::with_capacity(ndims);
-        for _ in 0..ndims {
-            let name = c.string("dim name")?;
-            let len = c.u64("dim length")? as usize;
-            if dims.iter().any(|d: &Dim| d.name == name) {
-                return Err(NcdfError::DuplicateName(name));
-            }
-            dims.push(Dim { name, len });
-        }
-
-        let nvars = c.u32("var count")? as usize;
-        c.check_count(nvars as u64, 10, "variable")?;
-        let mut vars: Vec<Variable> = Vec::with_capacity(nvars);
-        for _ in 0..nvars {
-            let name = c.string("var name")?;
-            if vars.iter().any(|v| v.name == name) {
-                return Err(NcdfError::DuplicateName(name));
-            }
-            let dtype = DType::from_tag(c.u8("dtype")?).ok_or(NcdfError::BadTag(0xff))?;
-            let nd = c.u32("var ndims")? as usize;
-            c.check_count(nd as u64, 4, "variable dim")?;
-            let mut vdims = Vec::with_capacity(nd);
-            for _ in 0..nd {
-                let id = c.u32("dim id")?;
-                if id as usize >= dims.len() {
-                    return Err(NcdfError::UnknownDim(id));
-                }
-                vdims.push(DimId(id));
-            }
-            let vattrs = get_attrs(&mut c)?;
-            let count = c.u64("element count")?;
-            c.check_count(count, dtype.size() as u64, "element")?;
-            let count = count as usize;
-            let expected: usize = vdims.iter().map(|&DimId(i)| dims[i as usize].len).product();
-            if expected != count {
-                return Err(NcdfError::ShapeMismatch {
-                    name,
-                    expected,
-                    actual: count,
-                });
-            }
-            let data = match dtype {
-                DType::F32 => {
-                    let raw = c.take(count * 4, "f32 payload")?;
-                    Data::F32(
-                        raw.chunks_exact(4)
-                            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-                            .collect(),
-                    )
-                }
-                DType::F64 => {
-                    let raw = c.take(count * 8, "f64 payload")?;
-                    Data::F64(
-                        raw.chunks_exact(8)
-                            .map(|b| {
-                                f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
-                            })
-                            .collect(),
-                    )
-                }
-                DType::I32 => {
-                    let raw = c.take(count * 4, "i32 payload")?;
-                    Data::I32(
-                        raw.chunks_exact(4)
-                            .map(|b| i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-                            .collect(),
-                    )
-                }
-                DType::U8 => Data::U8(c.take(count, "u8 payload")?.to_vec()),
-            };
-            vars.push(Variable {
-                name,
-                dims: vdims,
-                attrs: vattrs,
-                data,
-            });
-        }
-        Ok(Dataset { dims, attrs, vars })
+        Ok(DatasetView::parse(bytes)?.into_dataset())
     }
 
     /// Rough pre-allocation size for the encoder.
@@ -154,12 +66,49 @@ impl Dataset {
     }
 }
 
-fn put_string(buf: &mut BytesMut, s: &str) {
+/// Append `xs` as little-endian bytes. Values are converted one stack
+/// chunk at a time and appended with a single `extend_from_slice`, so on a
+/// little-endian host the inner loop compiles to a plain copy instead of a
+/// capacity check per element.
+fn put_le<T: Copy, const N: usize>(out: &mut Vec<u8>, xs: &[T], to_le: impl Fn(T) -> [u8; N]) {
+    const CHUNK_BYTES: usize = 4096;
+    let mut chunk_bytes = [0u8; CHUNK_BYTES];
+    for chunk in xs.chunks(CHUNK_BYTES / N) {
+        let bytes = &mut chunk_bytes[..chunk.len() * N];
+        for (dst, &x) in bytes.chunks_exact_mut(N).zip(chunk) {
+            dst.copy_from_slice(&to_le(x));
+        }
+        out.extend_from_slice(bytes);
+    }
+}
+
+fn put_dims(buf: &mut impl BufMut, dims: &[Dim]) {
+    buf.put_u32_le(dims.len() as u32);
+    for d in dims {
+        put_string(buf, &d.name);
+        buf.put_u64_le(d.len as u64);
+    }
+}
+
+/// Everything of a variable record that precedes its payload; shared by
+/// the exact and AQZ1 encoders.
+fn put_var_header(buf: &mut impl BufMut, v: &Variable) {
+    put_string(buf, &v.name);
+    buf.put_u8(v.dtype().tag());
+    buf.put_u32_le(v.dims.len() as u32);
+    for &DimId(i) in &v.dims {
+        buf.put_u32_le(i);
+    }
+    put_attrs(buf, &v.attrs);
+    buf.put_u64_le(v.data.len() as u64);
+}
+
+fn put_string(buf: &mut impl BufMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
 
-fn put_attrs(buf: &mut BytesMut, attrs: &BTreeMap<String, AttrValue>) {
+fn put_attrs(buf: &mut impl BufMut, attrs: &BTreeMap<String, AttrValue>) {
     buf.put_u32_le(attrs.len() as u32);
     for (name, val) in attrs {
         put_string(buf, name);
@@ -185,7 +134,7 @@ fn put_attrs(buf: &mut BytesMut, attrs: &BTreeMap<String, AttrValue>) {
     }
 }
 
-fn get_attrs(c: &mut Cursor<'_>) -> Result<BTreeMap<String, AttrValue>, NcdfError> {
+pub(crate) fn get_attrs(c: &mut Cursor<'_>) -> Result<BTreeMap<String, AttrValue>, NcdfError> {
     let n = c.u32("attr count")? as usize;
     c.check_count(n as u64, 5, "attribute")?;
     let mut attrs = BTreeMap::new();
@@ -214,6 +163,83 @@ fn get_attrs(c: &mut Cursor<'_>) -> Result<BTreeMap<String, AttrValue>, NcdfErro
     Ok(attrs)
 }
 
+pub(crate) fn get_dims(c: &mut Cursor<'_>) -> Result<Vec<Dim>, NcdfError> {
+    let ndims = c.u32("dim count")? as usize;
+    c.check_count(ndims as u64, 9, "dimension")?;
+    let mut dims = Vec::with_capacity(ndims);
+    for _ in 0..ndims {
+        let name = c.string("dim name")?;
+        let len = c.u64("dim length")? as usize;
+        if dims.iter().any(|d: &Dim| d.name == name) {
+            return Err(NcdfError::DuplicateName(name));
+        }
+        dims.push(Dim { name, len });
+    }
+    Ok(dims)
+}
+
+/// Everything of a variable record that precedes its payload, validated.
+pub(crate) struct VarHeader {
+    pub(crate) name: String,
+    pub(crate) dtype: DType,
+    pub(crate) dims: Vec<DimId>,
+    pub(crate) attrs: BTreeMap<String, AttrValue>,
+    /// Element count; equals the product of the dimension lengths.
+    pub(crate) count: usize,
+}
+
+/// Read and validate one variable header — the record layout both wire
+/// formats share. `name_taken` reports names already used by earlier
+/// variables; `min_elem_bytes` is the smallest encoding of one element in
+/// the calling format, which caps the declared count against what is left
+/// of the buffer.
+pub(crate) fn get_var_header(
+    c: &mut Cursor<'_>,
+    dims: &[Dim],
+    name_taken: impl Fn(&str) -> bool,
+    min_elem_bytes: impl Fn(DType) -> u64,
+) -> Result<VarHeader, NcdfError> {
+    let name = c.string("var name")?;
+    if name_taken(&name) {
+        return Err(NcdfError::DuplicateName(name));
+    }
+    let tag = c.u8("dtype")?;
+    let dtype = DType::from_tag(tag).ok_or(NcdfError::BadTag(tag))?;
+    let nd = c.u32("var ndims")? as usize;
+    c.check_count(nd as u64, 4, "variable dim")?;
+    let mut vdims = Vec::with_capacity(nd);
+    for _ in 0..nd {
+        let id = c.u32("dim id")?;
+        if id as usize >= dims.len() {
+            return Err(NcdfError::UnknownDim(id));
+        }
+        vdims.push(DimId(id));
+    }
+    let attrs = get_attrs(c)?;
+    let count = c.u64("element count")?;
+    c.check_count(count, min_elem_bytes(dtype), "element")?;
+    let count = count as usize;
+    // Saturating: corrupt dimension lengths must not overflow the product
+    // (a saturated value can never equal a count the buffer has room for).
+    let expected = vdims.iter().fold(1usize, |n, &DimId(i)| {
+        n.saturating_mul(dims[i as usize].len)
+    });
+    if expected != count {
+        return Err(NcdfError::ShapeMismatch {
+            name,
+            expected,
+            actual: count,
+        });
+    }
+    Ok(VarHeader {
+        name,
+        dtype,
+        dims: vdims,
+        attrs,
+        count,
+    })
+}
+
 // ---------------------------------------------------------------------------
 // Quantized + delta codec (degradation-ladder rung 1)
 // ---------------------------------------------------------------------------
@@ -238,21 +264,10 @@ pub fn encode_quantized(ds: &Dataset) -> Bytes {
     buf.put_slice(QUANT_MAGIC);
     buf.put_u16_le(QUANT_VERSION);
     put_attrs(&mut buf, &ds.attrs);
-    buf.put_u32_le(ds.dims.len() as u32);
-    for d in &ds.dims {
-        put_string(&mut buf, &d.name);
-        buf.put_u64_le(d.len as u64);
-    }
+    put_dims(&mut buf, &ds.dims);
     buf.put_u32_le(ds.vars.len() as u32);
     for v in &ds.vars {
-        put_string(&mut buf, &v.name);
-        buf.put_u8(v.dtype().tag());
-        buf.put_u32_le(v.dims.len() as u32);
-        for &DimId(i) in &v.dims {
-            buf.put_u32_le(i);
-        }
-        put_attrs(&mut buf, &v.attrs);
-        buf.put_u64_le(v.data.len() as u64);
+        put_var_header(&mut buf, v);
         match &v.data {
             Data::F32(xs) => {
                 buf.put_u8(ENC_QUANT);
@@ -291,50 +306,20 @@ pub fn decode_quantized(bytes: &[u8]) -> Result<Dataset, NcdfError> {
         return Err(NcdfError::UnsupportedVersion(version));
     }
     let attrs = get_attrs(&mut c)?;
-
-    let ndims = c.u32("dim count")? as usize;
-    c.check_count(ndims as u64, 9, "dimension")?;
-    let mut dims = Vec::with_capacity(ndims);
-    for _ in 0..ndims {
-        let name = c.string("dim name")?;
-        let len = c.u64("dim length")? as usize;
-        if dims.iter().any(|d: &Dim| d.name == name) {
-            return Err(NcdfError::DuplicateName(name));
-        }
-        dims.push(Dim { name, len });
-    }
+    let dims = get_dims(&mut c)?;
 
     let nvars = c.u32("var count")? as usize;
     c.check_count(nvars as u64, 11, "variable")?;
     let mut vars: Vec<Variable> = Vec::with_capacity(nvars);
     for _ in 0..nvars {
-        let name = c.string("var name")?;
-        if vars.iter().any(|v| v.name == name) {
-            return Err(NcdfError::DuplicateName(name));
-        }
-        let dtype = DType::from_tag(c.u8("dtype")?).ok_or(NcdfError::BadTag(0xff))?;
-        let nd = c.u32("var ndims")? as usize;
-        c.check_count(nd as u64, 4, "variable dim")?;
-        let mut vdims = Vec::with_capacity(nd);
-        for _ in 0..nd {
-            let id = c.u32("dim id")?;
-            if id as usize >= dims.len() {
-                return Err(NcdfError::UnknownDim(id));
-            }
-            vdims.push(DimId(id));
-        }
-        let vattrs = get_attrs(&mut c)?;
-        let count = c.u64("element count")?;
-        c.check_count(count, 1, "element")?;
-        let count = count as usize;
-        let expected: usize = vdims.iter().map(|&DimId(i)| dims[i as usize].len).product();
-        if expected != count {
-            return Err(NcdfError::ShapeMismatch {
-                name,
-                expected,
-                actual: count,
-            });
-        }
+        // A quantized element can shrink to a one-byte varint.
+        let VarHeader {
+            name,
+            dtype,
+            dims: vdims,
+            attrs: vattrs,
+            count,
+        } = get_var_header(&mut c, &dims, |n| vars.iter().any(|v| v.name == n), |_| 1)?;
         let encoding = c.u8("encoding tag")?;
         let data = match (encoding, dtype) {
             (ENC_QUANT, DType::F32) => {
@@ -441,13 +426,13 @@ fn get_varint(c: &mut Cursor<'_>) -> Result<u64, NcdfError> {
 }
 
 /// Bounds-checked little-endian reader.
-struct Cursor<'a> {
+pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Cursor { buf, pos: 0 }
     }
 
@@ -455,7 +440,7 @@ impl<'a> Cursor<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], NcdfError> {
+    pub(crate) fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], NcdfError> {
         if self.remaining() < n {
             return Err(NcdfError::Truncated { context });
         }
@@ -464,16 +449,16 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self, ctx: &'static str) -> Result<u8, NcdfError> {
+    pub(crate) fn u8(&mut self, ctx: &'static str) -> Result<u8, NcdfError> {
         Ok(self.take(1, ctx)?[0])
     }
 
-    fn u16(&mut self, ctx: &'static str) -> Result<u16, NcdfError> {
+    pub(crate) fn u16(&mut self, ctx: &'static str) -> Result<u16, NcdfError> {
         let b = self.take(2, ctx)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
-    fn u32(&mut self, ctx: &'static str) -> Result<u32, NcdfError> {
+    pub(crate) fn u32(&mut self, ctx: &'static str) -> Result<u32, NcdfError> {
         let b = self.take(4, ctx)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
@@ -500,7 +485,7 @@ impl<'a> Cursor<'a> {
     /// Reject declared counts whose minimal encoding cannot fit in what is
     /// left of the buffer — prevents attacker/corruption-driven giant
     /// allocations before we ever read the items.
-    fn check_count(
+    pub(crate) fn check_count(
         &self,
         count: u64,
         min_item_bytes: u64,
@@ -516,6 +501,234 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The encoder this format shipped with: one `put_*` call per element.
+    /// Kept only as the oracle the bulk encoder is checked against.
+    fn to_bytes_per_element(ds: &Dataset) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        buf.put_slice(MAGIC);
+        buf.put_u16_le(VERSION);
+        put_attrs(&mut buf, &ds.attrs);
+        buf.put_u32_le(ds.dims.len() as u32);
+        for d in &ds.dims {
+            put_string(&mut buf, &d.name);
+            buf.put_u64_le(d.len as u64);
+        }
+        buf.put_u32_le(ds.vars.len() as u32);
+        for v in &ds.vars {
+            put_string(&mut buf, &v.name);
+            buf.put_u8(v.dtype().tag());
+            buf.put_u32_le(v.dims.len() as u32);
+            for &DimId(i) in &v.dims {
+                buf.put_u32_le(i);
+            }
+            put_attrs(&mut buf, &v.attrs);
+            buf.put_u64_le(v.data.len() as u64);
+            match &v.data {
+                Data::F32(xs) => xs.iter().for_each(|&x| buf.put_f32_le(x)),
+                Data::F64(xs) => xs.iter().for_each(|&x| buf.put_f64_le(x)),
+                Data::I32(xs) => xs.iter().for_each(|&x| buf.put_i32_le(x)),
+                Data::U8(xs) => buf.put_slice(xs),
+            }
+        }
+        buf.to_vec()
+    }
+
+    fn arb_attrs(max: usize) -> impl Strategy<Value = BTreeMap<String, AttrValue>> {
+        let value = prop_oneof![
+            "[a-zA-Z0-9 _:-]{0,80}".prop_map(AttrValue::Text),
+            // Finite: attribute maps are compared with `==` below.
+            (-1e12f64..1e12).prop_map(AttrValue::F64),
+            any::<i64>().prop_map(AttrValue::I64),
+            prop::collection::vec(-1e6f64..1e6, 0..8).prop_map(AttrValue::F64List),
+        ];
+        prop::collection::btree_map("[a-z_]{1,12}", value, 0..max)
+    }
+
+    /// Random dims / dtypes / attrs. Payloads are raw bit patterns (NaNs and
+    /// denormals included) of up to a few thousand elements, so the bulk
+    /// writer crosses its stack-chunk boundary.
+    fn arb_dataset() -> impl Strategy<Value = Dataset> {
+        let var = (
+            prop::collection::vec(any::<bool>(), 3..=3),
+            0u8..4,
+            any::<u64>(),
+            arb_attrs(3),
+        );
+        (
+            prop::collection::vec(0usize..40, 0..=3),
+            arb_attrs(4),
+            prop::collection::vec(var, 0..5),
+        )
+            .prop_map(|(dim_lens, attrs, vars)| {
+                let mut ds = Dataset::new();
+                let ids: Vec<DimId> = dim_lens
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &len)| ds.add_dim(format!("d{i}"), len).expect("unique"))
+                    .collect();
+                ds.attrs = attrs;
+                for (vi, (mask, dtype, seed, vattrs)) in vars.into_iter().enumerate() {
+                    let vdims: Vec<DimId> = ids
+                        .iter()
+                        .zip(&mask)
+                        .filter_map(|(&id, &on)| on.then_some(id))
+                        .collect();
+                    let n: usize = vdims.iter().map(|d| dim_lens[d.index()]).product();
+                    let mut state = seed;
+                    let mut bits = move || {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        state
+                    };
+                    let data = match dtype {
+                        0 => Data::F32((0..n).map(|_| f32::from_bits(bits() as u32)).collect()),
+                        1 => Data::F64((0..n).map(|_| f64::from_bits(bits())).collect()),
+                        2 => Data::I32((0..n).map(|_| bits() as i32).collect()),
+                        _ => Data::U8((0..n).map(|_| bits() as u8).collect()),
+                    };
+                    let v = ds.add_var(format!("v{vi}"), &vdims, data).expect("shape");
+                    v.attrs = vattrs;
+                }
+                ds
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn bulk_encoder_is_byte_identical_to_per_element_reference(
+            ds in arb_dataset(),
+            dirt in prop::collection::vec(any::<u8>(), 0..64),
+            spare in 0usize..200_000,
+        ) {
+            let want = to_bytes_per_element(&ds);
+            prop_assert_eq!(&ds.to_bytes()[..], &want[..]);
+            // A recycled buffer: stale contents, capacity above or below
+            // what this dataset needs.
+            let mut out = Vec::with_capacity(spare);
+            out.extend_from_slice(&dirt);
+            ds.encode_into(&mut out);
+            prop_assert_eq!(&out, &want);
+            ds.encode_into(&mut out);
+            prop_assert_eq!(&out, &want);
+        }
+
+        #[test]
+        fn view_agrees_with_from_bytes_on_valid_input(ds in arb_dataset()) {
+            let bytes = to_bytes_per_element(&ds);
+            let view = DatasetView::parse(&bytes).expect("valid");
+            let owned = Dataset::from_bytes(&bytes).expect("valid");
+            prop_assert_eq!(&view.attrs().collect::<Vec<_>>(), &owned.attrs().collect::<Vec<_>>());
+            prop_assert_eq!(&view.dims().collect::<Vec<_>>(), &owned.dims().collect::<Vec<_>>());
+            prop_assert_eq!(view.vars().count(), owned.vars().count());
+            for (v, o) in view.vars().zip(owned.vars()) {
+                prop_assert_eq!(&v.name, &o.name);
+                prop_assert_eq!(&v.dims, &o.dims);
+                prop_assert_eq!(&v.attrs, &o.attrs);
+                prop_assert_eq!(v.shape(&view), o.shape(&owned));
+                prop_assert_eq!(v.len(), o.data.len());
+                prop_assert_eq!(v.dtype(), o.dtype());
+            }
+            // Payloads hold NaNs, so compare bit patterns, all at once:
+            // re-encoding what the view decoded reproduces the input exactly.
+            prop_assert_eq!(&owned.to_bytes()[..], &bytes[..]);
+        }
+    }
+
+    #[test]
+    fn typed_iterators_match_their_dtype_only() {
+        let bytes = sample().to_bytes();
+        let view = DatasetView::parse(&bytes).unwrap();
+        let p = view.var("p").unwrap();
+        assert_eq!(p.dtype(), DType::F32);
+        assert_eq!(
+            p.f32s().unwrap().collect::<Vec<_>>(),
+            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        );
+        assert!(p.f64s().is_none() && p.i32s().is_none() && p.u8s().is_none());
+        assert_eq!(p.raw().len(), 24);
+        assert_eq!(p.shape(&view), vec![2, 3]);
+        assert_eq!(p.attrs["units"].as_text(), Some("hPa"));
+        let eta = view.var("eta").unwrap();
+        assert_eq!(
+            eta.f64s().unwrap().collect::<Vec<_>>(),
+            vec![0.5, -0.5, 0.0]
+        );
+        let ids = view.var("ids").unwrap();
+        assert_eq!(ids.i32s().unwrap().collect::<Vec<_>>(), vec![-1, 0, 1]);
+        assert_eq!(
+            view.var("mask").unwrap().u8s(),
+            Some(&[0u8, 1, 0, 1, 0, 1][..])
+        );
+        assert!(!ids.is_empty());
+        assert!(view.var("nope").is_none());
+        assert_eq!(view.attr("step").unwrap().as_i64(), Some(42));
+    }
+
+    /// The truncation / corruption corpus the owned decoder is pinned on:
+    /// the view must fail the same way, error for error.
+    #[test]
+    fn view_returns_the_same_typed_error_as_from_bytes() {
+        let good = sample().to_bytes().to_vec();
+        let mut corpus: Vec<Vec<u8>> = (0..good.len()).map(|cut| good[..cut].to_vec()).collect();
+        for (at, val) in [(0usize, b'X'), (4, 0xff)] {
+            let mut b = good.clone();
+            b[at] = val;
+            corpus.push(b);
+        }
+        let mut b = good.clone();
+        b[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
+        corpus.push(b);
+        // Every single-byte corruption of the header region and beyond.
+        for at in 0..good.len() {
+            let mut b = good.clone();
+            b[at] ^= 0xa5;
+            corpus.push(b);
+        }
+        corpus.push(encode_quantized(&sample()).to_vec());
+        for bytes in &corpus {
+            let owned = Dataset::from_bytes(bytes);
+            let view = DatasetView::parse(bytes);
+            match (owned, view) {
+                (Ok(ds), Ok(v)) => assert_eq!(ds, v.into_dataset()),
+                (Err(a), Err(b)) => assert_eq!(a, b),
+                (a, b) => panic!("decoders disagree: {a:?} vs {b:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_dtype_reports_the_byte_that_was_read() {
+        // First variable record of `sample()`: name "p", then its dtype tag.
+        let good = sample().to_bytes().to_vec();
+        let at = good
+            .windows(5)
+            .position(|w| w == [1, 0, 0, 0, b'p'])
+            .expect("var name `p`")
+            + 5;
+        assert_eq!(good[at], DType::F32.tag());
+        let mut bad = good.clone();
+        bad[at] = 0x2a;
+        assert_eq!(Dataset::from_bytes(&bad), Err(NcdfError::BadTag(0x2a)));
+        assert_eq!(
+            DatasetView::parse(&bad).map(|_| ()),
+            Err(NcdfError::BadTag(0x2a))
+        );
+
+        let quant = encode_quantized(&sample()).to_vec();
+        let at = quant
+            .windows(5)
+            .position(|w| w == [1, 0, 0, 0, b'p'])
+            .expect("var name `p`")
+            + 5;
+        let mut bad = quant.clone();
+        bad[at] = 0x7b;
+        assert_eq!(decode_quantized(&bad), Err(NcdfError::BadTag(0x7b)));
+    }
 
     fn sample() -> Dataset {
         let mut ds = Dataset::new();

@@ -10,7 +10,11 @@
 //! The format is deliberately small but honest: everything the pipeline and
 //! visualization engine need — shapes, units, timestamps, multiple typed
 //! payloads per frame — round-trips through [`Dataset::to_bytes`] /
-//! [`Dataset::from_bytes`] with full validation on decode.
+//! [`Dataset::from_bytes`] with full validation on decode. A reader that
+//! needs one variable of many validates the same way with
+//! [`DatasetView::parse`] and borrows the payloads instead of copying them;
+//! a writer that emits frame after frame reuses one buffer through
+//! [`Dataset::encode_into`].
 //!
 //! # Layout (version 1, little-endian)
 //!
@@ -44,10 +48,12 @@ pub mod codec;
 mod dataset;
 mod error;
 mod types;
+mod view;
 
 pub use dataset::{Dataset, Dim, DimId, Variable};
 pub use error::NcdfError;
 pub use types::{AttrValue, DType, Data};
+pub use view::{DatasetView, VarView};
 
 /// Format magic bytes at the start of every encoded dataset.
 pub const MAGIC: &[u8; 4] = b"NCDL";

@@ -1,81 +1,126 @@
-//! Property tests: arbitrary datasets round-trip bit-exactly, and arbitrary
-//! byte soup never panics the decoder.
+//! Property tests: arbitrary datasets round-trip bit-exactly, and neither
+//! byte soup nor aimed corruption of a valid blob panics a decoder or makes
+//! it allocate beyond what the input can back.
 
-use ncdf::{AttrValue, Data, Dataset};
+mod wire;
+
+use ncdf::{Dataset, DatasetView, NcdfError};
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use wire::{arb_dataset, encode_per_element, Field, FieldKind};
 
-fn arb_attr() -> impl Strategy<Value = AttrValue> {
-    prop_oneof![
-        "[a-zA-Z0-9 _:-]{0,32}".prop_map(AttrValue::Text),
-        // Finite floats only: NaN would break Dataset equality in the
-        // roundtrip assertion (the format itself carries NaN fine).
-        (-1e12f64..1e12).prop_map(AttrValue::F64),
-        any::<i64>().prop_map(AttrValue::I64),
-        prop::collection::vec(-1e6f64..1e6, 0..8).prop_map(AttrValue::F64List),
+thread_local! {
+    /// Largest single allocation this thread has requested since the last
+    /// reset (tests run on parallel threads, so the mark is per thread).
+    static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Recording;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a thread-local high-water
+// mark held in a const-initialised `Cell`, which neither allocates nor
+// unwinds.
+unsafe impl GlobalAlloc for Recording {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: `layout` is the caller's, passed through untouched.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc`/`realloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: same block, same layout, as the caller guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+fn note(size: usize) {
+    // `try_with`: the allocator also runs while a thread's locals are being
+    // torn down.
+    let _ = LARGEST_ALLOC.try_with(|m| m.set(m.get().max(size)));
+}
+
+#[global_allocator]
+static ALLOC: Recording = Recording;
+
+/// Run `f` and return its result with the largest single allocation it made.
+fn largest_alloc_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST_ALLOC.with(|m| m.set(0));
+    let out = f();
+    (out, LARGEST_ALLOC.with(|m| m.get()))
+}
+
+/// Header records are wider in memory than on the wire (a 21-byte variable
+/// record becomes a ~100-byte struct, a 12-byte dimension a 32-byte one),
+/// so the largest allocation a decode may make is a small constant multiple
+/// of the input plus a floor for tiny inputs. What it rules out is an
+/// allocation sized by a declared count that the remaining bytes cannot
+/// back: those are checked before anything is reserved.
+fn alloc_bound(input_len: usize) -> usize {
+    16 * input_len + 256
+}
+
+/// Both decoders on `bytes`: never a panic, the same typed error or the
+/// same value, and no allocation beyond the bound.
+fn check_both_decoders(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let (owned, owned_peak) = largest_alloc_during(|| Dataset::from_bytes(bytes));
+    let (view, view_peak) = largest_alloc_during(|| DatasetView::parse(bytes));
+    prop_assert!(
+        owned_peak <= alloc_bound(bytes.len()),
+        "from_bytes allocated {owned_peak} B for a {} B input",
+        bytes.len()
+    );
+    prop_assert!(
+        view_peak <= alloc_bound(bytes.len()),
+        "DatasetView::parse allocated {view_peak} B for a {} B input",
+        bytes.len()
+    );
+    match (owned, view) {
+        (Ok(ds), Ok(v)) => {
+            // A value that decodes is a value the encoder can write back.
+            let rewritten = ds.to_bytes();
+            let again = Dataset::from_bytes(&rewritten).expect("re-encoded value decodes");
+            prop_assert_eq!(&again.to_bytes()[..], &rewritten[..]);
+            prop_assert_eq!(&v.into_dataset().to_bytes()[..], &rewritten[..]);
+        }
+        (Err(a), Err(b)) => prop_assert_eq!(a, b),
+        (a, b) => prop_assert!(false, "decoders disagree: {a:?} vs {b:?}"),
+    }
+    Ok(())
+}
+
+/// Values worth writing into a structural field: boundaries, off-by-ones,
+/// and magnitudes that overflow `count × size` or a shape product.
+fn hostile_values(current: u64, salt: u64) -> [u64; 10] {
+    [
+        0,
+        1,
+        current.wrapping_add(1),
+        current.wrapping_sub(1),
+        current.wrapping_mul(2),
+        0x7fff_ffff,
+        0xffff_ffff,
+        1 << 40,
+        u64::MAX,
+        salt,
     ]
 }
 
-fn arb_data(len: usize) -> impl Strategy<Value = Data> {
-    prop_oneof![
-        prop::collection::vec(-1e6f32..1e6, len..=len).prop_map(Data::F32),
-        prop::collection::vec(-1e12f64..1e12, len..=len).prop_map(Data::F64),
-        prop::collection::vec(any::<i32>(), len..=len).prop_map(Data::I32),
-        prop::collection::vec(any::<u8>(), len..=len).prop_map(Data::U8),
-    ]
+fn read_field(bytes: &[u8], f: Field) -> u64 {
+    let mut le = [0u8; 8];
+    le[..f.width].copy_from_slice(&bytes[f.at..f.at + f.width]);
+    u64::from_le_bytes(le)
 }
 
-fn arb_dataset() -> impl Strategy<Value = Dataset> {
-    // Dim lengths kept small so payloads stay cheap.
-    let dims = prop::collection::vec(1usize..5, 0..4);
-    let attrs = prop::collection::btree_map("[a-z_]{1,12}", arb_attr(), 0..4);
-    (dims, attrs).prop_flat_map(|(dim_lens, attrs)| {
-        let ndims = dim_lens.len();
-        // For each variable: which dims it spans (as a subset mask kept in
-        // order) — generated as booleans per dim.
-        let var_specs = prop::collection::vec(
-            (
-                prop::collection::vec(any::<bool>(), ndims..=ndims),
-                0usize..4, // payload dtype selector handled below
-            ),
-            0..4,
-        );
-        (Just(dim_lens), Just(attrs), var_specs).prop_flat_map(|(dim_lens, attrs, specs)| {
-            let mut strategies: Vec<BoxedStrategy<(Vec<usize>, Data)>> = Vec::new();
-            for (mask, _) in &specs {
-                let picked: Vec<usize> = mask
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &m)| m)
-                    .map(|(i, _)| i)
-                    .collect();
-                let len: usize = picked.iter().map(|&i| dim_lens[i]).product();
-                let picked_clone = picked.clone();
-                strategies.push(
-                    arb_data(len)
-                        .prop_map(move |d| (picked_clone.clone(), d))
-                        .boxed(),
-                );
-            }
-            let dim_lens2 = dim_lens.clone();
-            let attrs2 = attrs.clone();
-            strategies.prop_map(move |vars| {
-                let mut ds = Dataset::new();
-                let mut ids = Vec::new();
-                for (i, &len) in dim_lens2.iter().enumerate() {
-                    ids.push(ds.add_dim(format!("d{i}"), len).expect("unique dim names"));
-                }
-                for (k, v) in &attrs2 {
-                    ds.set_attr(k.clone(), v.clone());
-                }
-                for (vi, (picked, data)) in vars.into_iter().enumerate() {
-                    let vdims: Vec<_> = picked.iter().map(|&i| ids[i]).collect();
-                    ds.add_var(format!("v{vi}"), &vdims, data)
-                        .expect("shape matches by construction");
-                }
-                ds
-            })
-        })
-    })
+fn write_field(bytes: &mut [u8], f: Field, value: u64) {
+    bytes[f.at..f.at + f.width].copy_from_slice(&value.to_le_bytes()[..f.width]);
 }
 
 proptest! {
@@ -89,9 +134,13 @@ proptest! {
     }
 
     #[test]
+    fn bulk_encoder_writes_the_documented_layout(ds in arb_dataset()) {
+        prop_assert_eq!(ds.to_bytes().to_vec(), encode_per_element(&ds).0);
+    }
+
+    #[test]
     fn decoder_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
-        // Any outcome is fine as long as it is a Result, not a panic.
-        let _ = Dataset::from_bytes(&bytes);
+        check_both_decoders(&bytes)?;
     }
 
     #[test]
@@ -105,6 +154,92 @@ proptest! {
             let i = idx.index(bytes.len());
             bytes[i] ^= val;
         }
-        let _ = Dataset::from_bytes(&bytes);
+        check_both_decoders(&bytes)?;
     }
+
+    /// Structure-aware mutation: overwrite one to three *fields* — counts,
+    /// string and dimension lengths, tags, dimension ids, element counts —
+    /// with boundary and overflow values, optionally cut the blob at a field
+    /// boundary or splice a record region over another.
+    #[test]
+    fn decoders_survive_aimed_field_corruption(
+        ds in arb_dataset(),
+        hits in prop::collection::vec(
+            (any::<prop::sample::Index>(), any::<prop::sample::Index>(), any::<u64>()),
+            1..4,
+        ),
+        cut in any::<prop::sample::Index>(),
+        splice in (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
+        mode in 0u8..4,
+    ) {
+        let (good, fields) = encode_per_element(&ds);
+        check_both_decoders(&good)?;
+        let mut bytes = good.clone();
+        for (which, value, salt) in hits {
+            let f = fields[which.index(fields.len())];
+            let values = hostile_values(read_field(&bytes, f), salt);
+            write_field(&mut bytes, f, values[value.index(values.len())]);
+        }
+        match mode {
+            // Truncate exactly at a field (where a lazy reader would trust
+            // the count it just read).
+            1 => bytes.truncate(fields[cut.index(fields.len())].at),
+            // Copy the bytes from one field onward over another field's
+            // position: records land where other records are expected.
+            2 => {
+                let from = fields[splice.0.index(fields.len())].at;
+                let to = fields[splice.1.index(fields.len())].at;
+                let tail = good[from..].to_vec();
+                bytes.truncate(to);
+                bytes.extend_from_slice(&tail);
+            }
+            _ => {}
+        }
+        check_both_decoders(&bytes)?;
+    }
+}
+
+/// The named worst cases, pinned outside the random search.
+#[test]
+fn declared_counts_never_size_an_allocation_the_input_cannot_back() {
+    let mut ds = Dataset::new();
+    ds.set_attr("list", ncdf::AttrValue::F64List(vec![1.0, 2.0]));
+    let y = ds.add_dim("y", 30).unwrap();
+    let x = ds.add_dim("x", 40).unwrap();
+    ds.add_var("p", &[y, x], ncdf::Data::F64(vec![0.5; 1200]))
+        .unwrap();
+    let (good, fields) = encode_per_element(&ds);
+    // The recorder sees the decode: the 9600-byte payload is copied out by
+    // the owned decoder and left in place by the view.
+    assert!(largest_alloc_during(|| Dataset::from_bytes(&good)).1 >= 9600);
+    assert!(largest_alloc_during(|| DatasetView::parse(&good).map(|_| ())).1 < 2048);
+    for f in &fields {
+        for v in hostile_values(read_field(&good, *f), 0x0123_4567_89ab_cdef) {
+            let mut bytes = good.clone();
+            write_field(&mut bytes, *f, v);
+            let (r, peak) = largest_alloc_during(|| Dataset::from_bytes(&bytes));
+            assert!(
+                peak <= alloc_bound(bytes.len()),
+                "{:?} field at {} := {v:#x}: allocated {peak} B",
+                f.kind,
+                f.at
+            );
+            if v != read_field(&good, *f)
+                && matches!(f.kind, FieldKind::ElemCount | FieldKind::DimLen)
+            {
+                // A payload whose size disagrees with its shape never decodes.
+                assert!(r.is_err(), "{:?} := {v:#x} decoded", f.kind);
+            }
+        }
+    }
+    // Both dimension lengths at u64::MAX: the shape product must saturate,
+    // not overflow.
+    let mut bytes = good.clone();
+    for f in fields.iter().filter(|f| f.kind == FieldKind::DimLen) {
+        write_field(&mut bytes, *f, u64::MAX);
+    }
+    assert!(matches!(
+        Dataset::from_bytes(&bytes),
+        Err(NcdfError::ShapeMismatch { .. })
+    ));
 }

@@ -45,4 +45,4 @@ pub use colormap::Colormap;
 pub use image::RgbImage;
 pub use plot::{Plot, PlotSeries};
 pub use renderer::{FrameRenderer, RenderError, ScalarField};
-pub use track::{EyeFix, TrackLog};
+pub use track::{EyeFix, PressureFrame, TrackLog};

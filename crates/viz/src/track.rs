@@ -5,7 +5,7 @@
 //! paper's Figure 4 track from the central Bay of Bengal to the
 //! Darjeeling hills.
 
-use ncdf::Dataset;
+use ncdf::{AttrValue, DType, Data, Dataset, DatasetView};
 
 /// One eye fix extracted from one frame.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -20,69 +20,143 @@ pub struct EyeFix {
     pub pressure_hpa: f64,
 }
 
-/// Extract the eye (pressure minimum) from a frame dataset. Prefers the
-/// nest pressure field when present (finer sampling of the eye), falling
-/// back to the parent. Returns `None` when the frame has no pressure
-/// variable or the needed geometry attributes.
-pub fn detect_eye(ds: &Dataset) -> Option<EyeFix> {
-    let sim_minutes = ds.attr("sim_minutes")?.as_f64()?;
-    let corners = ds.attr("domain_lonlat")?.as_f64_list()?;
+/// What eye detection reads from a frame: geometry attributes, variable
+/// shapes, and the minimum of one variable. Implemented for the owned
+/// [`Dataset`] (the degraded rungs decode into one) and for the borrowed
+/// [`DatasetView`] (exact frames off the wire are scanned where they lie),
+/// so both take the same geometry path and only the pressure variables of a
+/// frame are ever converted.
+pub trait PressureFrame {
+    /// Global attribute lookup.
+    fn attr(&self, name: &str) -> Option<&AttrValue>;
+    /// Shape of variable `var`, slowest-varying first.
+    fn shape(&self, var: &str) -> Option<Vec<usize>>;
+    /// Flat index and value of the first minimum of `var`; `None` when the
+    /// variable is absent, empty, or holds a NaN.
+    fn min_of(&self, var: &str) -> Option<(usize, f64)>;
+}
+
+impl PressureFrame for Dataset {
+    fn attr(&self, name: &str) -> Option<&AttrValue> {
+        Dataset::attr(self, name)
+    }
+
+    fn shape(&self, var: &str) -> Option<Vec<usize>> {
+        Some(self.var(var)?.shape(self))
+    }
+
+    fn min_of(&self, var: &str) -> Option<(usize, f64)> {
+        match &self.var(var)?.data {
+            Data::F32(v) => first_min(v.iter().map(|&x| f64::from(x))),
+            Data::F64(v) => first_min(v.iter().copied()),
+            Data::I32(v) => first_min(v.iter().map(|&x| f64::from(x))),
+            Data::U8(v) => first_min(v.iter().map(|&x| f64::from(x))),
+        }
+    }
+}
+
+impl PressureFrame for DatasetView<'_> {
+    fn attr(&self, name: &str) -> Option<&AttrValue> {
+        DatasetView::attr(self, name)
+    }
+
+    fn shape(&self, var: &str) -> Option<Vec<usize>> {
+        Some(self.var(var)?.shape(self))
+    }
+
+    fn min_of(&self, var: &str) -> Option<(usize, f64)> {
+        let var = self.var(var)?;
+        match var.dtype() {
+            DType::F32 => first_min(var.f32s()?.map(f64::from)),
+            DType::F64 => first_min(var.f64s()?),
+            DType::I32 => first_min(var.i32s()?.map(f64::from)),
+            DType::U8 => first_min(var.u8s()?.iter().map(|&x| f64::from(x))),
+        }
+    }
+}
+
+/// Index and value of the first minimum; `None` for an empty sequence or
+/// one holding a NaN (no order to take a minimum in). One comparison per
+/// element: `!(v >= min)` is true exactly for a new minimum or a NaN, and
+/// either is rare enough for the branch to predict.
+#[allow(clippy::neg_cmp_op_on_partial_ord)] // the incomparable case is the point
+fn first_min(vals: impl Iterator<Item = f64>) -> Option<(usize, f64)> {
+    let mut best = None;
+    let mut min = f64::INFINITY;
+    for (i, v) in vals.enumerate() {
+        if !(v >= min) {
+            if v.is_nan() {
+                return None;
+            }
+            min = v;
+            best = Some((i, v));
+        }
+    }
+    // An all-`+inf` field never beats the seed; it has no finite minimum.
+    best
+}
+
+/// Extents `(ny, nx)` of a rank-2 variable with at least two points along
+/// each axis — what mapping a grid index onto the domain divides by.
+fn grid_extents(frame: &impl PressureFrame, var: &str) -> Option<(usize, usize)> {
+    match frame.shape(var)?[..] {
+        [ny, nx] if ny >= 2 && nx >= 2 => Some((ny, nx)),
+        _ => None,
+    }
+}
+
+/// Extract the eye (pressure minimum) from a frame. Prefers the nest
+/// pressure field when present (finer sampling of the eye), falling back
+/// to the parent. Returns `None` when the frame has no usable pressure
+/// variable — absent, not a grid of at least 2×2, or with a non-finite
+/// minimum — or lacks the geometry attributes.
+pub fn detect_eye(frame: &impl PressureFrame) -> Option<EyeFix> {
+    let sim_minutes = frame.attr("sim_minutes")?.as_f64()?;
+    let corners = frame.attr("domain_lonlat")?.as_f64_list()?;
     if corners.len() != 4 {
         return None;
     }
     let (lon_w, lat_s, lon_e, lat_n) = (corners[0], corners[1], corners[2], corners[3]);
 
     // Try the nest first.
-    if let (Some(var), Some(origin), Some(dx)) = (
-        ds.var("nest_pressure"),
-        ds.attr("nest_origin_km").and_then(|a| a.as_f64_list()),
-        ds.attr("nest_dx_km").and_then(|a| a.as_f64()),
+    if let (Some(shape), Some(origin), Some(dx)) = (
+        frame.shape("nest_pressure"),
+        frame.attr("nest_origin_km").and_then(|a| a.as_f64_list()),
+        frame.attr("nest_dx_km").and_then(|a| a.as_f64()),
     ) {
-        if origin.len() == 2 {
-            let shape = var.shape(ds);
-            if shape.len() == 2 {
-                let vals = var.data.to_f64_vec();
-                let (idx, &p) = min_with_index(&vals)?;
-                let nx = shape[1];
-                let (i, j) = (idx % nx, idx / nx);
-                let x_km = origin[0] + i as f64 * dx;
-                let y_km = origin[1] + j as f64 * dx;
-                // Geometry: km offsets over the full domain extent.
-                let parent_dx = ds.attr("physics_dx_km")?.as_f64()?;
-                let parent_shape = ds.var("pressure")?.shape(ds);
-                let width_km = (parent_shape[1] - 1) as f64 * parent_dx;
-                let height_km = (parent_shape[0] - 1) as f64 * parent_dx;
-                return Some(EyeFix {
-                    sim_minutes,
-                    lon: lon_w + (lon_e - lon_w) * x_km / width_km,
-                    lat: lat_s + (lat_n - lat_s) * y_km / height_km,
-                    pressure_hpa: p,
-                });
-            }
+        if origin.len() == 2 && shape.len() == 2 {
+            let (idx, p) = finite(frame.min_of("nest_pressure")?)?;
+            let nx = shape[1];
+            let (i, j) = (idx % nx, idx / nx);
+            let x_km = origin[0] + i as f64 * dx;
+            let y_km = origin[1] + j as f64 * dx;
+            // Geometry: km offsets over the full domain extent.
+            let parent_dx = frame.attr("physics_dx_km")?.as_f64()?;
+            let (parent_ny, parent_nx) = grid_extents(frame, "pressure")?;
+            let width_km = (parent_nx - 1) as f64 * parent_dx;
+            let height_km = (parent_ny - 1) as f64 * parent_dx;
+            return Some(EyeFix {
+                sim_minutes,
+                lon: lon_w + (lon_e - lon_w) * x_km / width_km,
+                lat: lat_s + (lat_n - lat_s) * y_km / height_km,
+                pressure_hpa: p,
+            });
         }
     }
 
-    let var = ds.var("pressure")?;
-    let shape = var.shape(ds);
-    if shape.len() != 2 {
-        return None;
-    }
-    let vals = var.data.to_f64_vec();
-    let (idx, &p) = min_with_index(&vals)?;
-    let nx = shape[1];
+    let (ny, nx) = grid_extents(frame, "pressure")?;
+    let (idx, p) = finite(frame.min_of("pressure")?)?;
     let (i, j) = (idx % nx, idx / nx);
     Some(EyeFix {
         sim_minutes,
         lon: lon_w + (lon_e - lon_w) * i as f64 / (nx - 1) as f64,
-        lat: lat_s + (lat_n - lat_s) * j as f64 / (shape[0] - 1) as f64,
+        lat: lat_s + (lat_n - lat_s) * j as f64 / (ny - 1) as f64,
         pressure_hpa: p,
     })
 }
 
-fn min_with_index(vals: &[f64]) -> Option<(usize, &f64)> {
-    vals.iter()
-        .enumerate()
-        .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite pressures"))
+fn finite(min: (usize, f64)) -> Option<(usize, f64)> {
+    min.1.is_finite().then_some(min)
 }
 
 /// The accumulated track across visualized frames.
@@ -104,8 +178,8 @@ impl TrackLog {
     }
 
     /// Ingest one frame; returns the fix if the frame carried one.
-    pub fn ingest(&mut self, ds: &Dataset) -> Option<EyeFix> {
-        let fix = detect_eye(ds)?;
+    pub fn ingest(&mut self, frame: &impl PressureFrame) -> Option<EyeFix> {
+        let fix = detect_eye(frame)?;
         self.fixes.push(fix);
         Some(fix)
     }
@@ -207,6 +281,86 @@ mod tests {
         assert!(track.min_pressure().unwrap() <= first.pressure_hpa);
         let csv = track.to_csv();
         assert_eq!(csv.lines().count(), 5);
+    }
+
+    #[test]
+    fn borrowed_view_yields_the_same_fix_as_the_owned_dataset() {
+        let mut m = model();
+        m.advance_steps(3, 1).unwrap();
+        for nest in [false, true] {
+            if nest {
+                m.spawn_nest();
+                m.advance_steps(2, 1).unwrap();
+            }
+            let ds = m.frame();
+            let bytes = ds.to_bytes();
+            let view = DatasetView::parse(&bytes).unwrap();
+            let fix = detect_eye(&view).expect("eye present");
+            assert_eq!(Some(fix), detect_eye(&ds));
+            assert_eq!(Some(fix), detect_eye(&Dataset::from_bytes(&bytes).unwrap()));
+        }
+    }
+
+    /// A frame-shaped dataset with a caller-chosen pressure variable.
+    fn frame_with_pressure(dims: &[usize], data: Data) -> Dataset {
+        let mut ds = Dataset::new();
+        ds.set_attr("sim_minutes", AttrValue::F64(30.0));
+        ds.set_attr(
+            "domain_lonlat",
+            AttrValue::F64List(vec![60.0, -10.0, 120.0, 40.0]),
+        );
+        let ids: Vec<_> = dims
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| ds.add_dim(format!("d{i}"), n).unwrap())
+            .collect();
+        ds.add_var("pressure", &ids, data).unwrap();
+        ds
+    }
+
+    #[test]
+    fn malformed_pressure_is_none_not_a_panic() {
+        let ok = frame_with_pressure(&[2, 3], Data::F32(vec![5.0, 4.0, 3.0, 9.0, 3.0, 8.0]));
+        let fix = detect_eye(&ok).expect("well-formed");
+        // First of the two equal minima, at (i=2, j=0).
+        assert_eq!((fix.lon, fix.lat, fix.pressure_hpa), (120.0, -10.0, 3.0));
+
+        let cases = [
+            // One NaN anywhere poisons the minimum.
+            frame_with_pressure(&[2, 3], Data::F32(vec![5.0, f32::NAN, 3.0, 9.0, 3.0, 8.0])),
+            // Non-finite minimum.
+            frame_with_pressure(&[2, 2], Data::F64(vec![1.0, f64::NEG_INFINITY, 2.0, 3.0])),
+            frame_with_pressure(&[2, 2], Data::F32(vec![f32::INFINITY; 4])),
+            // Rank 1, rank 3, rank 0.
+            frame_with_pressure(&[6], Data::F32(vec![1.0; 6])),
+            frame_with_pressure(&[1, 2, 3], Data::F32(vec![1.0; 6])),
+            frame_with_pressure(&[], Data::F32(vec![1.0])),
+            // Extents below two: nothing to divide by.
+            frame_with_pressure(&[1, 6], Data::F32(vec![1.0; 6])),
+            frame_with_pressure(&[6, 1], Data::F32(vec![1.0; 6])),
+            frame_with_pressure(&[0, 3], Data::F32(vec![])),
+        ];
+        for ds in &cases {
+            assert_eq!(detect_eye(ds), None);
+            let bytes = ds.to_bytes();
+            assert_eq!(detect_eye(&DatasetView::parse(&bytes).unwrap()), None);
+        }
+
+        // A nest whose parent grid is degenerate cannot be placed either.
+        let mut nested = frame_with_pressure(&[1, 6], Data::F32(vec![1.0; 6]));
+        nested.set_attr("nest_origin_km", AttrValue::F64List(vec![10.0, 10.0]));
+        nested.set_attr("nest_dx_km", AttrValue::F64(1.0));
+        nested.set_attr("physics_dx_km", AttrValue::F64(3.0));
+        let ny = nested.add_dim("ny", 2).unwrap();
+        let nx = nested.add_dim("nx", 2).unwrap();
+        nested
+            .add_var(
+                "nest_pressure",
+                &[ny, nx],
+                Data::F32(vec![4.0, 3.0, 2.0, 1.0]),
+            )
+            .unwrap();
+        assert_eq!(detect_eye(&nested), None);
     }
 
     #[test]

@@ -42,12 +42,11 @@ const SNAPSHOT_HEADER_LEN: usize = 4 + 4 + 4 + 8;
 /// (the directory is synced too, best-effort). A crash at any point
 /// leaves either the old snapshot or the new one — never a mix.
 pub fn write_snapshot_file(path: &Path, payload: &[u8]) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(SNAPSHOT_HEADER_LEN + payload.len());
-    buf.extend_from_slice(&SNAPSHOT_MAGIC);
-    buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    buf.extend_from_slice(payload);
+    let mut header = [0u8; SNAPSHOT_HEADER_LEN];
+    header[..4].copy_from_slice(&SNAPSHOT_MAGIC);
+    header[4..8].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    header[8..12].copy_from_slice(&crc32(payload).to_le_bytes());
+    header[12..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
 
     let tmp = path.with_extension("tmp");
     {
@@ -56,7 +55,11 @@ pub fn write_snapshot_file(path: &Path, payload: &[u8]) -> io::Result<()> {
             .write(true)
             .truncate(true)
             .open(&tmp)?;
-        f.write_all(&buf)?;
+        // Header and payload go to the same tmp file under one fsync; the
+        // payload is written from where it lies, not copied behind the
+        // header first.
+        f.write_all(&header)?;
+        f.write_all(payload)?;
         f.sync_all()?;
     }
     fs::rename(&tmp, path)?;
@@ -175,7 +178,9 @@ impl WrfModel {
         if let Some(n) = nest {
             put_fields(&mut ds, "nest", &n.fields);
         }
-        ds.to_bytes().to_vec()
+        let mut bytes = Vec::new();
+        ds.encode_into(&mut bytes);
+        bytes
     }
 
     /// Checkpoint straight to a durable snapshot file (tmp + fsync +
@@ -506,6 +511,42 @@ mod tests {
         assert_eq!(m, r);
         // The tmp sibling must not linger after the atomic rename.
         assert!(!path.with_extension("tmp").exists());
+    }
+
+    /// The container as the first version of this module laid it out: one
+    /// buffer, header then payload.
+    fn legacy_snapshot_bytes(payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(SNAPSHOT_HEADER_LEN + payload.len());
+        buf.extend_from_slice(&SNAPSHOT_MAGIC);
+        buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        buf.extend_from_slice(&crc32(payload).to_le_bytes());
+        buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        buf.extend_from_slice(payload);
+        buf
+    }
+
+    #[test]
+    fn snapshot_file_bytes_are_the_legacy_layout_both_ways() {
+        let mut m = model();
+        m.advance_steps(3, 1).unwrap();
+        let payload = m.checkpoint();
+        // What is written today is byte for byte what was written before...
+        let path = tmppath("layout-new");
+        write_snapshot_file(&path, &payload).unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            legacy_snapshot_bytes(&payload)
+        );
+        assert!(!path.with_extension("tmp").exists());
+        // ... and a file written before still verifies and restores.
+        let old = tmppath("layout-old");
+        std::fs::write(&old, legacy_snapshot_bytes(&payload)).unwrap();
+        assert_eq!(read_snapshot_file(&old).unwrap(), payload);
+        assert_eq!(WrfModel::restore_from_file(&old).unwrap(), m);
+        // An empty payload is a header-only file.
+        write_snapshot_file(&path, b"").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), legacy_snapshot_bytes(b""));
+        assert_eq!(read_snapshot_file(&path).unwrap(), b"");
     }
 
     #[test]

@@ -70,13 +70,6 @@ impl Fields {
         BASE_PRESSURE_HPA + hpa_per_eta_m * self.eta.at(i, j)
     }
 
-    /// Full diagnosed pressure field, hPa.
-    pub fn pressure_field(&self, hpa_per_eta_m: f64) -> Grid2 {
-        Grid2::from_fn(self.nx(), self.ny(), |i, j| {
-            self.pressure_at(i, j, hpa_per_eta_m)
-        })
-    }
-
     /// Minimum diagnosed pressure and its parent-frame km location.
     pub fn min_pressure(&self, hpa_per_eta_m: f64) -> (f64, f64, f64) {
         let (eta_min, i, j) = self.eta.min_with_pos();

@@ -11,6 +11,10 @@ use serde::{Deserialize, Serialize};
 /// Kilometres per degree of latitude (spherical Earth).
 pub const KM_PER_DEG_LAT: f64 = 111.2;
 
+/// A meridian through open water at every latitude south of the northern
+/// land boundary: east of India's coast, west of Burma's.
+const OPEN_BAY_LON: f64 = 90.0;
+
 /// Rectangular forecast domain with a lon/lat anchor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DomainGeom {
@@ -106,6 +110,27 @@ impl DomainGeom {
         let (lon, lat) = self.km_to_lonlat(x_km, y_km);
         self.is_land(lon, lat)
     }
+
+    /// Land mask of one grid row: `row[i] = is_land_km(xs_km[i], y_km)` for
+    /// column coordinates `xs_km` in non-decreasing order, found with
+    /// O(log n) calls of that predicate instead of n.
+    ///
+    /// Along a row latitude is fixed and longitude does not decrease, and
+    /// [`is_land`](Self::is_land) tests longitude only as `lon <= coast`
+    /// (India, never east of 87°E) and `lon >= 94` (Burma). West of
+    /// 90°E (`OPEN_BAY_LON`) land is therefore a prefix of the row and east of it
+    /// a suffix — both runs may be empty or, north of 21.5°N, meet — so each
+    /// end is a bisection on the predicate itself.
+    pub fn fill_land_row_km(&self, xs_km: &[f64], y_km: f64, row: &mut [u8]) {
+        assert_eq!(xs_km.len(), row.len(), "one mask cell per column");
+        let land = |x_km: &f64| self.is_land_km(*x_km, y_km);
+        let bay = xs_km.partition_point(|&x| self.km_to_lonlat(x, y_km).0 < OPEN_BAY_LON);
+        let west_end = xs_km[..bay].partition_point(land);
+        let east_start = bay + xs_km[bay..].partition_point(|x| !land(x));
+        row[..west_end].fill(1);
+        row[west_end..east_start].fill(0);
+        row[east_start..].fill(1);
+    }
 }
 
 #[cfg(test)]
@@ -154,6 +179,45 @@ mod tests {
         assert!(!g.is_land(90.0, 18.0), "northern bay is sea");
         assert!(g.is_land(96.0, 18.0), "Burma is land");
         assert!(!g.is_land(85.0, -5.0), "southern ocean is sea");
+    }
+
+    #[test]
+    fn land_rows_match_the_per_cell_predicate() {
+        let g = DomainGeom::bay_of_bengal();
+        // The structure `fill_land_row_km` relies on: on either side of the
+        // open-bay meridian the mask changes at most once along a parallel.
+        for lat_step in 0..=500 {
+            let lat = -10.0 + lat_step as f64 * 0.1;
+            let changes = |lons: std::ops::Range<i32>| {
+                let mask: Vec<bool> = lons.map(|l| g.is_land(l as f64 * 0.05, lat)).collect();
+                mask.windows(2).filter(|w| w[0] != w[1]).count()
+            };
+            assert!(changes(1200..1800) <= 1, "west of the bay at {lat}N");
+            assert!(changes(1800..2400) <= 1, "east of the bay at {lat}N");
+        }
+        // Whole grids, and nest-like windows at odd offsets and spacings.
+        for (x0, y0, dx, nx, ny) in [
+            (0.0, 0.0, 192.0, 34, 30),
+            (0.0, 0.0, 24.0, 270, 233),
+            (0.0, 0.0, 10.0, 646, 557),
+            (2713.7, 1820.3, 3.3333333333333335, 331, 287),
+            (-500.0, 5000.0, 7.5, 1100, 120),
+        ] {
+            let xs: Vec<f64> = (0..nx).map(|i| x0 + i as f64 * dx).collect();
+            let mut row = vec![7u8; nx];
+            for j in 0..ny {
+                let y = y0 + j as f64 * dx;
+                g.fill_land_row_km(&xs, y, &mut row);
+                for (i, &x) in xs.iter().enumerate() {
+                    assert_eq!(
+                        row[i],
+                        u8::from(g.is_land_km(x, y)),
+                        "cell ({i}, {j}) of the {dx} km grid"
+                    );
+                }
+            }
+        }
+        g.fill_land_row_km(&[], 0.0, &mut []);
     }
 
     #[test]

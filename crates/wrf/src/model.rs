@@ -5,7 +5,7 @@ use crate::geom::DomainGeom;
 use crate::nest::{Nest, NestConfig};
 use crate::pool::WorkerPool;
 use crate::solver::{KernelPath, PhysicsParams};
-use crate::vortex::{VortexParams, VortexState};
+use crate::vortex::{VortexParams, VortexState, BASE_PRESSURE_HPA};
 use crate::{dt_for_resolution_secs, Grid2};
 use ncdf::{AttrValue, Data, Dataset};
 use serde::{Deserialize, Serialize};
@@ -450,6 +450,17 @@ impl WrfModel {
         let y = ds.add_dim("south_north", ny).expect("fresh dataset");
         let x = ds.add_dim("west_east", nx).expect("fresh dataset");
         let to_f32 = |g: &Grid2| Data::F32(g.data().iter().map(|&v| v as f32).collect());
+        // `Fields::pressure_at`, cell by cell in storage order, narrowed as it
+        // is computed — no intermediate f64 grid.
+        let hpa = self.cfg.vortex.hpa_per_eta_m;
+        let pressure_f32 = |eta: &Grid2| {
+            Data::F32(
+                eta.data()
+                    .iter()
+                    .map(|&e| (BASE_PRESSURE_HPA + hpa * e) as f32)
+                    .collect(),
+            )
+        };
         ds.add_var("eta", &[y, x], to_f32(&self.fields.eta))
             .expect("shape matches");
         ds.add_var("u", &[y, x], to_f32(&self.fields.u))
@@ -458,23 +469,15 @@ impl WrfModel {
             .expect("shape matches");
         ds.add_var("qvapor", &[y, x], to_f32(&self.fields.q))
             .expect("shape matches");
-        ds.add_var(
-            "pressure",
-            &[y, x],
-            to_f32(&self.fields.pressure_field(self.cfg.vortex.hpa_per_eta_m)),
-        )
-        .expect("shape matches");
-        let land: Vec<u8> = (0..ny)
-            .flat_map(|j| {
-                (0..nx).map(move |i| {
-                    u8::from(
-                        self.cfg
-                            .geom
-                            .is_land_km(self.fields.x_km(i), self.fields.y_km(j)),
-                    )
-                })
-            })
-            .collect();
+        ds.add_var("pressure", &[y, x], pressure_f32(&self.fields.eta))
+            .expect("shape matches");
+        let xs_km: Vec<f64> = (0..nx).map(|i| self.fields.x_km(i)).collect();
+        let mut land = vec![0u8; nx * ny];
+        for (j, row) in land.chunks_exact_mut(nx).enumerate() {
+            self.cfg
+                .geom
+                .fill_land_row_km(&xs_km, self.fields.y_km(j), row);
+        }
         ds.add_var("landmask", &[y, x], Data::U8(land))
             .expect("shape matches");
 
@@ -495,12 +498,8 @@ impl WrfModel {
                 .expect("shape matches");
             ds.add_var("nest_qvapor", &[nyd, nxd], to_f32(&nest.fields.q))
                 .expect("shape matches");
-            ds.add_var(
-                "nest_pressure",
-                &[nyd, nxd],
-                to_f32(&nest.fields.pressure_field(self.cfg.vortex.hpa_per_eta_m)),
-            )
-            .expect("shape matches");
+            ds.add_var("nest_pressure", &[nyd, nxd], pressure_f32(&nest.fields.eta))
+                .expect("shape matches");
         }
         ds
     }
@@ -653,6 +652,37 @@ mod tests {
             let (nx, ny) = m.config().physics_grid();
             vec![ny, nx]
         });
+    }
+
+    #[test]
+    fn frame_pressure_and_landmask_equal_the_per_cell_diagnostics() {
+        let mut m = WrfModel::new(fast_cfg()).unwrap();
+        m.advance_steps(3, 1).unwrap();
+        m.spawn_nest();
+        m.advance_steps(2, 1).unwrap();
+        let ds = m.frame();
+        let hpa = m.config().vortex.hpa_per_eta_m;
+        let check = |var: &str, f: &Fields| {
+            let got = ds.var(var).unwrap().data.as_f32().unwrap();
+            assert_eq!(got.len(), f.nx() * f.ny());
+            for j in 0..f.ny() {
+                for i in 0..f.nx() {
+                    let want = f.pressure_at(i, j, hpa) as f32;
+                    assert_eq!(got[j * f.nx() + i].to_bits(), want.to_bits());
+                }
+            }
+        };
+        check("pressure", m.fields());
+        check("nest_pressure", &m.nest().unwrap().fields);
+        let f = m.fields();
+        let land = ds.var("landmask").unwrap().data.as_u8().unwrap();
+        for j in 0..f.ny() {
+            for i in 0..f.nx() {
+                let want = m.config().geom.is_land_km(f.x_km(i), f.y_km(j));
+                assert_eq!(land[j * f.nx() + i], u8::from(want), "cell ({i}, {j})");
+            }
+        }
+        assert!(land.contains(&0) && land.contains(&1));
     }
 
     #[test]
