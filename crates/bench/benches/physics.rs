@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use wrf::{Fields, KernelPath, ModelConfig, WorkerPool, WrfModel};
+use wrf::{Fields, ModelConfig, WorkerPool, WrfModel};
 
 fn bench_step(c: &mut Criterion) {
     for resolution_km in [24.0, 16.0, 10.0] {
@@ -21,27 +21,25 @@ fn bench_step(c: &mut Criterion) {
         let vortex = model.vortex();
         let dt = model.dt_secs();
         let mut group = c.benchmark_group(format!("physics_step_{resolution_km}km"));
-        for path in [KernelPath::Scalar, KernelPath::Lanes] {
-            for workers in [1usize, 2, 4] {
-                // Exact team so the label is the team that actually runs,
-                // even when it oversubscribes the host.
-                let mut pool = WorkerPool::with_exact_team_path(workers, path);
-                let mut out = Fields::zeros(1, 1, 1.0);
-                group.bench_function(format!("{}_{workers}w", path.label()), |b| {
-                    b.iter(|| {
-                        let probe = pool.step(
-                            black_box(&fields),
-                            vortex,
-                            &cfg.phys,
-                            &cfg.vortex,
-                            &cfg.geom,
-                            dt,
-                            &mut out,
-                        );
-                        black_box(probe)
-                    })
-                });
-            }
+        for workers in [1usize, 2, 4] {
+            // Exact team so the label is the team that actually runs,
+            // even when it oversubscribes the host.
+            let mut pool = WorkerPool::with_exact_team(workers);
+            let mut out = Fields::zeros(1, 1, 1.0);
+            group.bench_function(format!("{workers}w"), |b| {
+                b.iter(|| {
+                    let probe = pool.step(
+                        black_box(&fields),
+                        vortex,
+                        &cfg.phys,
+                        &cfg.vortex,
+                        &cfg.geom,
+                        dt,
+                        &mut out,
+                    );
+                    black_box(probe)
+                })
+            });
         }
         group.finish();
     }

@@ -1,6 +1,6 @@
 //! Criterion benches for the substrate crates: the dynamical core's step
-//! (serial, shared-memory parallel, halo-exchange ranks), the wire
-//! format, the renderer, and the performance-model fit.
+//! (serial and on the rank team), the wire format, the renderer, and the
+//! performance-model fit.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use perfmodel::{Sample, ScalingFit};
@@ -14,8 +14,7 @@ fn bench_wrf_step(c: &mut Criterion) {
     // The 24 km grid (~270×232 points). Worker counts beyond the host's
     // core count cannot speed this up (the reference runner is a 1-core
     // container, where these rows measure pure threading overhead); on a
-    // multi-core host the shared rows show the row-band scaling, and the
-    // halo-rank rows its message-passing overhead on top.
+    // multi-core host the shared rows show the row-band scaling.
     let cfg = ModelConfig::aila_default();
     let base = WrfModel::new(cfg).expect("valid");
     for threads in [1usize, 2, 4, 8] {
@@ -24,31 +23,6 @@ fn bench_wrf_step(c: &mut Criterion) {
             b.iter(|| {
                 model.advance_steps(1, threads).expect("finite");
                 black_box(model.steps_taken())
-            })
-        });
-    }
-    group.finish();
-
-    // Halo-exchange ranks vs shared memory on one step (message-passing
-    // fidelity costs; measured on the same state).
-    let mut group = c.benchmark_group("wrf_step_halo_ranks");
-    group.sample_size(20);
-    let model = base.clone();
-    let fields = model.fields().clone();
-    let vortex = *model.vortex();
-    let cfg = *model.config();
-    for ranks in [2usize, 4, 8] {
-        group.bench_function(format!("{ranks}ranks"), |b| {
-            b.iter(|| {
-                black_box(wrf::par::step_halo_ranks(
-                    &fields,
-                    &vortex,
-                    &cfg.phys,
-                    &cfg.vortex,
-                    &cfg.geom,
-                    144.0,
-                    ranks,
-                ))
             })
         });
     }

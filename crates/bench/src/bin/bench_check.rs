@@ -1,18 +1,15 @@
 //! CI gate over `BENCH_physics.json` — the bench trajectory's honesty
 //! checks, run after the profiling binary in the `bench-smoke` CI step.
 //!
-//! Validates the schema the profiling binary emits (schema_version 2,
-//! per-kernel-path measurement rows) and the invariants the repo's
-//! performance story rests on:
+//! Validates the schema the profiling binary emits (schema_version 3,
+//! one pooled measurement per grid × worker count) and the invariants the
+//! repo's performance story rests on:
 //!
-//! 1. every measurement row names a known `kernel_path` and carries a
-//!    positive time;
+//! 1. every measurement row carries a grid, a worker count and a positive
+//!    time;
 //! 2. `workers > host_cores` rows are marked `scaling_valid: false`
 //!    (oversubscription must never masquerade as scaling);
-//! 3. on every measured grid the lanes path is at least as fast as the
-//!    scalar path at `workers = 1` — the vectorization must never
-//!    regress below the kernels it replaced;
-//! 4. the `fit` section is either `null` with a stated `fit_refusal`, or
+//! 3. the `fit` section is either `null` with a stated `fit_refusal`, or
 //!    a law fitted from >= MIN_SAMPLES honest rows with `r_squared` and
 //!    a held-out error attached.
 //!
@@ -78,8 +75,8 @@ fn main() {
     // --- header ---------------------------------------------------------
     let schema = num(&root, "schema_version").unwrap_or(0.0);
     check(
-        schema == 2.0,
-        format!("schema_version must be 2, got {schema}"),
+        schema == 3.0,
+        format!("schema_version must be 3, got {schema}"),
     );
     let host_cores = num(&root, "host_cores").unwrap_or(0.0);
     check(
@@ -99,9 +96,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    // (resolution, workers=1) -> per-path time, for the lanes gate below.
-    let mut at_one: Vec<(f64, String, f64)> = Vec::new();
-    let mut honest_lanes_rows = 0usize;
+    let mut honest_rows = 0usize;
     for (i, row) in rows.iter().enumerate() {
         let res = num(row, "resolution_km").unwrap_or(-1.0);
         check(res > 0.0, format!("row {i}: bad resolution_km"));
@@ -109,11 +104,6 @@ fn main() {
         check(workers >= 1.0, format!("row {i}: bad workers"));
         let pooled = num(row, "pooled_ms").unwrap_or(-1.0);
         check(pooled > 0.0, format!("row {i}: bad pooled_ms"));
-        let path = text(row, "kernel_path").unwrap_or("");
-        check(
-            path == "scalar" || path == "lanes",
-            format!("row {i}: kernel_path must be scalar|lanes, got {path:?}"),
-        );
         match row.get("grid") {
             Some(Value::Seq(g)) if g.len() == 2 => {}
             _ => check(false, format!("row {i}: grid must be [nx, ny]")),
@@ -133,37 +123,8 @@ fn main() {
                  (oversubscription sold as scaling)"
             ),
         );
-        if valid && path == "lanes" {
-            honest_lanes_rows += 1;
-        }
-        if workers == 1.0 {
-            at_one.push((res, path.to_string(), pooled));
-        }
-    }
-
-    // --- lanes must not regress below scalar at workers = 1 --------------
-    let mut grids: Vec<f64> = at_one.iter().map(|(r, _, _)| *r).collect();
-    grids.sort_by(|a, b| a.partial_cmp(b).expect("finite resolutions"));
-    grids.dedup();
-    for res in grids {
-        let time_of = |want: &str| {
-            at_one
-                .iter()
-                .find(|(r, p, _)| *r == res && p == want)
-                .map(|(_, _, t)| *t)
-        };
-        match (time_of("scalar"), time_of("lanes")) {
-            (Some(scalar), Some(lanes)) => check(
-                lanes <= scalar,
-                format!(
-                    "{res} km @ 1 worker: lanes {lanes:.3} ms is SLOWER than scalar \
-                     {scalar:.3} ms — the vectorized path regressed"
-                ),
-            ),
-            _ => check(
-                false,
-                format!("{res} km: missing scalar or lanes row at workers = 1"),
-            ),
+        if valid {
+            honest_rows += 1;
         }
     }
 
@@ -185,8 +146,8 @@ fn main() {
                 ),
             );
             check(
-                honest_lanes_rows >= ScalingFit::MIN_SAMPLES,
-                format!("fit emitted but only {honest_lanes_rows} scaling_valid lanes rows exist"),
+                honest_rows >= ScalingFit::MIN_SAMPLES,
+                format!("fit emitted but only {honest_rows} scaling_valid rows exist"),
             );
             let r2 = num(fit, "r_squared");
             check(
@@ -215,7 +176,7 @@ fn main() {
 
     if errors.is_empty() {
         println!(
-            "bench_check: {path} OK ({} rows, {honest_lanes_rows} honest lanes rows)",
+            "bench_check: {path} OK ({} rows, {honest_rows} honest rows)",
             rows.len()
         );
     } else {

@@ -8,14 +8,12 @@
 //! for other number of processors."
 //!
 //! This binary does exactly that with the in-repo solver: time real
-//! integration steps on the persistent rank team ([`wrf::WorkerPool`])
-//! for **both** kernel paths — the original scalar stencils and the
-//! vectorized lanes kernels (DESIGN.md §17) — across worker counts and
-//! workloads (resolutions), time the legacy spawn-per-pass implementation
-//! as the scalar baseline, fit the scaling law with `perfmodel` from the
-//! honest rows only, report its held-out error and the sign of ∂t/∂p,
-//! and emit the machine-readable baseline `BENCH_physics.json` at the
-//! repo root for future regressions.
+//! integration steps on the persistent rank team ([`wrf::WorkerPool`],
+//! the only engine that steps a model — DESIGN.md §17) across worker
+//! counts and workloads (resolutions), fit the scaling law with
+//! `perfmodel` from the honest rows only, report its held-out error and
+//! the sign of ∂t/∂p, and emit the machine-readable baseline
+//! `BENCH_physics.json` at the repo root for future regressions.
 //!
 //! ```text
 //! cargo run --release -p repro-bench --bin profiling [-- --quick]
@@ -27,8 +25,7 @@
 //!   not scaling. Those rows are recorded (they calibrate pool overhead)
 //!   but marked `scaling_valid: false`, and neither the fit nor the
 //!   adaptation-premise verdict reads them.
-//! - The fit consumes only `scaling_valid: true` rows of the lanes path
-//!   (the path the model actually runs). Fewer than
+//! - The fit consumes only `scaling_valid: true` rows. Fewer than
 //!   [`ScalingFit::MIN_SAMPLES`] such rows and the binary **refuses to
 //!   emit a fit at all** (`"fit": null` plus a `fit_refusal` reason) —
 //!   an unidentifiable law is worse than no law.
@@ -42,7 +39,7 @@ use perfmodel::{ProcTable, Sample, ScalingFit};
 use repro_bench::write_artifact;
 use std::fmt::Write as _;
 use std::time::Instant;
-use wrf::{par, Fields, KernelPath, ModelConfig, WorkerPool};
+use wrf::{Fields, ModelConfig, WorkerPool};
 
 /// Print a report line and append it to the text artifact
 /// (`results/profiling_output.txt`).
@@ -60,11 +57,7 @@ struct Measurement {
     nx: usize,
     ny: usize,
     workers: usize,
-    path: KernelPath,
     pooled_secs: f64,
-    /// Legacy spawn-per-pass time — only measured on the scalar path,
-    /// whose serial kernels it runs.
-    spawning_secs: Option<f64>,
 }
 
 /// The physics state one resolution's measurements run on.
@@ -87,18 +80,18 @@ impl Workload {
         (self.fields.nx() * self.fields.ny()) as f64
     }
 
-    /// Seconds per step on the persistent pool (double-buffered, warm)
-    /// running `path` kernels. The work is deterministic, so the *minimum*
-    /// over `repeats` timed passes is the least-noise estimator — scheduler
-    /// and frequency jitter only ever add time, never subtract it.
-    fn time_pooled(&self, workers: usize, steps: usize, repeats: usize, path: KernelPath) -> f64 {
+    /// Seconds per step on the persistent pool (double-buffered, warm).
+    /// The work is deterministic, so the *minimum* over `repeats` timed
+    /// passes is the least-noise estimator — scheduler and frequency
+    /// jitter only ever add time, never subtract it.
+    fn time_pooled(&self, workers: usize, steps: usize, repeats: usize) -> f64 {
         let model = wrf::WrfModel::new(self.cfg).expect("valid configuration");
         let vortex = model.vortex();
         let dt = model.dt_secs();
         // Exact team: the profiled worker count must be the team that
         // actually runs, even oversubscribed, or the fit's processor axis
         // would silently be the clamped count.
-        let mut pool = WorkerPool::with_exact_team_path(workers, path);
+        let mut pool = WorkerPool::with_exact_team(workers);
         let mut cur = self.fields.clone();
         let mut out = Fields::zeros(1, 1, 1.0);
         // Warm-up: spawn the team, shape the scratch buffers.
@@ -125,42 +118,6 @@ impl Workload {
                     &mut out,
                 );
                 std::mem::swap(&mut cur, &mut out);
-            }
-            best = best.min(start.elapsed().as_secs_f64() / steps as f64);
-        }
-        best
-    }
-
-    /// Seconds per step on the legacy spawn-per-pass implementation
-    /// (scalar kernels by construction); minimum over `repeats` passes.
-    fn time_spawning(&self, workers: usize, steps: usize, repeats: usize) -> f64 {
-        let model = wrf::WrfModel::new(self.cfg).expect("valid configuration");
-        let vortex = model.vortex();
-        let dt = model.dt_secs();
-        let mut cur = self.fields.clone();
-        // Warm-up, matching the pooled path.
-        cur = par::step_spawning(
-            &cur,
-            vortex,
-            &self.cfg.phys,
-            &self.cfg.vortex,
-            &self.cfg.geom,
-            dt,
-            workers,
-        );
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats.max(1) {
-            let start = Instant::now();
-            for _ in 0..steps {
-                cur = par::step_spawning(
-                    &cur,
-                    vortex,
-                    &self.cfg.phys,
-                    &self.cfg.vortex,
-                    &self.cfg.geom,
-                    dt,
-                    workers,
-                );
             }
             best = best.min(start.elapsed().as_secs_f64() / steps as f64);
         }
@@ -194,7 +151,7 @@ fn main() {
     );
     let scaling_valid = |workers: usize| workers <= host_cores;
     let mut measurements = Vec::new();
-    let mut csv = String::from("engine,kernel_path,resolution_km,workers,secs_per_step\n");
+    let mut csv = String::from("resolution_km,workers,secs_per_step\n");
     for &res in resolutions {
         let wl = Workload::new(res);
         let (nx, ny) = (wl.fields.nx(), wl.fields.ny());
@@ -204,84 +161,33 @@ fn main() {
             wl.work_points()
         );
         for &w in worker_counts {
-            let scalar = wl.time_pooled(w, steps, repeats, KernelPath::Scalar);
-            let lanes = wl.time_pooled(w, steps, repeats, KernelPath::Lanes);
-            let spawning = wl.time_spawning(w, steps, repeats);
+            let pooled = wl.time_pooled(w, steps, repeats);
             out!(
                 report,
-                "  {w} workers: scalar {:.2} ms/step, lanes {:.2} ms/step ({:.2}x), \
-                 legacy spawn-per-pass {:.2} ms/step{}",
-                scalar * 1e3,
-                lanes * 1e3,
-                scalar / lanes,
-                spawning * 1e3,
+                "  {w} workers: {:.2} ms/step{}",
+                pooled * 1e3,
                 if scaling_valid(w) {
                     ""
                 } else {
                     "  [oversubscribed: no scaling claim]"
                 },
             );
-            let _ = writeln!(csv, "pooled,scalar,{res},{w},{scalar:.6}");
-            let _ = writeln!(csv, "pooled,lanes,{res},{w},{lanes:.6}");
-            let _ = writeln!(csv, "spawning,scalar,{res},{w},{spawning:.6}");
+            let _ = writeln!(csv, "{res},{w},{pooled:.6}");
             measurements.push(Measurement {
                 resolution_km: res,
                 nx,
                 ny,
                 workers: w,
-                path: KernelPath::Scalar,
-                pooled_secs: scalar,
-                spawning_secs: Some(spawning),
-            });
-            measurements.push(Measurement {
-                resolution_km: res,
-                nx,
-                ny,
-                workers: w,
-                path: KernelPath::Lanes,
-                pooled_secs: lanes,
-                spawning_secs: None,
+                pooled_secs: pooled,
             });
         }
     }
     write_artifact("profiling_runs.csv", &csv);
 
-    // The lanes-vs-scalar story at workers = 1: pure kernel speed, no
-    // parallel effects. This is the bench trajectory the CI smoke gate
-    // regresses against.
-    let mut speedups = Vec::new();
-    for &res in resolutions {
-        let scalar = measurements
-            .iter()
-            .find(|m| m.resolution_km == res && m.workers == 1 && m.path == KernelPath::Scalar)
-            .expect("measured above");
-        let lanes = measurements
-            .iter()
-            .find(|m| m.resolution_km == res && m.workers == 1 && m.path == KernelPath::Lanes)
-            .expect("measured above");
-        speedups.push((
-            res,
-            scalar.nx,
-            scalar.ny,
-            scalar.pooled_secs,
-            lanes.pooled_secs,
-        ));
-    }
-    out!(report, "\nlanes speedup at workers = 1:");
-    for &(res, nx, ny, s, l) in &speedups {
-        out!(
-            report,
-            "  {res} km ({nx}x{ny}): scalar {:.2} ms -> lanes {:.2} ms = {:.2}x",
-            s * 1e3,
-            l * 1e3,
-            s / l
-        );
-    }
-
-    // Re-fit the scaling law from the honest lanes rows only.
+    // Re-fit the scaling law from the honest rows only.
     let fit_samples: Vec<Sample> = measurements
         .iter()
-        .filter(|m| m.path == KernelPath::Lanes && scaling_valid(m.workers))
+        .filter(|m| scaling_valid(m.workers))
         .map(|m| Sample {
             procs: m.workers as f64,
             work: (m.nx * m.ny) as f64,
@@ -290,7 +196,7 @@ fn main() {
         .collect();
     let fit = if fit_samples.len() < ScalingFit::MIN_SAMPLES {
         Err(format!(
-            "only {} scaling_valid lanes rows, need {} — refusing to fit",
+            "only {} scaling_valid rows, need {} — refusing to fit",
             fit_samples.len(),
             ScalingFit::MIN_SAMPLES
         ))
@@ -301,41 +207,23 @@ fn main() {
     let finest = *resolutions.last().expect("non-empty");
     let work = Workload::new(finest).work_points();
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema_version\": 2,");
+    let _ = writeln!(json, "  \"schema_version\": 3,");
     let _ = writeln!(json, "  \"host_cores\": {host_cores},");
     let _ = writeln!(json, "  \"steps_timed\": {steps},");
     let _ = writeln!(json, "  \"unit\": \"ms_per_step\",");
     let _ = writeln!(json, "  \"measurements\": [");
     for (i, m) in measurements.iter().enumerate() {
         let comma = if i + 1 == measurements.len() { "" } else { "," };
-        let spawning = match m.spawning_secs {
-            Some(s) => format!(", \"spawning_ms\": {:.4}", s * 1e3),
-            None => String::new(),
-        };
         let _ = writeln!(
             json,
             "    {{\"resolution_km\": {}, \"grid\": [{}, {}], \"workers\": {}, \
-             \"kernel_path\": \"{}\", \"pooled_ms\": {:.4}{spawning}, \"scaling_valid\": {}}}{comma}",
+             \"pooled_ms\": {:.4}, \"scaling_valid\": {}}}{comma}",
             m.resolution_km,
             m.nx,
             m.ny,
             m.workers,
-            m.path.label(),
             m.pooled_secs * 1e3,
             scaling_valid(m.workers),
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"lanes_speedup\": [");
-    for (i, &(res, nx, ny, s, l)) in speedups.iter().enumerate() {
-        let comma = if i + 1 == speedups.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"resolution_km\": {res}, \"grid\": [{nx}, {ny}], \"workers\": 1, \
-             \"scalar_ms\": {:.4}, \"lanes_ms\": {:.4}, \"speedup\": {:.3}}}{comma}",
-            s * 1e3,
-            l * 1e3,
-            s / l,
         );
     }
     let _ = writeln!(json, "  ],");
@@ -345,7 +233,7 @@ fn main() {
             let c = fit.coeffs();
             out!(
                 report,
-                "\nfitted law (lanes, {} honest rows): t = {:.2e} + {:.2e}(W/p) + \
+                "\nfitted law ({} honest rows): t = {:.2e} + {:.2e}(W/p) + \
                  {:.2e}sqrt(W/p) + {:.2e}log2(p)   (R2 = {:.3}, fingerprint {:016x})",
                 fit_samples.len(),
                 c[0],
@@ -356,15 +244,15 @@ fn main() {
                 fit.fingerprint(),
             );
 
-            // Held-out check on a workload the fit never saw: lanes at one
-            // worker, 20 km — always an honest configuration.
+            // Held-out check on a workload the fit never saw: one worker,
+            // 20 km — always an honest configuration.
             let held = Workload::new(20.0);
-            let measured = held.time_pooled(1, steps, repeats, KernelPath::Lanes);
+            let measured = held.time_pooled(1, steps, repeats);
             let predicted = fit.predict(1.0, held.work_points());
             let held_out_rel = (predicted - measured).abs() / measured;
             out!(
                 report,
-                "held-out (lanes, 1 worker @ 20 km, W = {:.0}): measured {:.2} ms, \
+                "held-out (1 worker @ 20 km, W = {:.0}): measured {:.2} ms, \
                  fit predicts {:.2} ms ({:.1}% off)",
                 held.work_points(),
                 measured * 1e3,
@@ -418,19 +306,16 @@ fn main() {
 
             // The table the decision algorithms would consume from this fit.
             let table = ProcTable::from_fit(fit, work, worker_counts);
-            out!(
-                report,
-                "\nderived processor table @ {finest} km (lanes law):"
-            );
+            out!(report, "\nderived processor table @ {finest} km:");
             for &(p, t) in table.entries() {
                 out!(report, "  {p:>2} workers -> {:.2} ms/step", t * 1e3);
             }
 
             let _ = writeln!(
                 json,
-                "  \"fit\": {{\"kernel_path\": \"lanes\", \"coeffs\": [{:e}, {:e}, {:e}, {:e}], \
+                "  \"fit\": {{\"coeffs\": [{:e}, {:e}, {:e}, {:e}], \
                  \"r_squared\": {:.4}, \"fingerprint\": \"{:016x}\", \"used_samples\": {}, \
-                 \"held_out\": {{\"kernel_path\": \"lanes\", \"workers\": 1, \
+                 \"held_out\": {{\"workers\": 1, \
                  \"resolution_km\": 20, \"measured_ms\": {:.4}, \"predicted_ms\": {:.4}, \
                  \"rel_error\": {:.4}}}}},",
                 c[0],
@@ -458,7 +343,7 @@ fn main() {
                 "  \"scaling_claim\": {{\"premise\": \"{premise}\", \
                  \"on_core_worker_counts\": {valid_counts}, \
                  \"note\": \"rows with scaling_valid=false ran more workers than host cores and \
-                 measure oversubscription, not scaling; the fit reads only scaling_valid lanes \
+                 measure oversubscription, not scaling; the fit reads only scaling_valid \
                  rows\"}}"
             );
         }

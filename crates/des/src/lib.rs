@@ -11,12 +11,12 @@
 //! scheduling order (a monotone sequence number breaks ties), so a run is a
 //! pure function of its inputs — a property the integration tests rely on.
 //!
-//! For fleet-scale runs the queue is sharded: [`ShardClock`] is one queue +
-//! local clock per mission, and [`TimeCoordinator`]/[`run_shards`] advance
-//! many of them in parallel, synchronizing only at shared-resource events
-//! via conservative time windows (see the [`shard`] module docs).
-//! [`Scheduler`] is a thin wrapper over a single `ShardClock`, so solo runs
-//! are exactly what they always were.
+//! For fleet-scale runs the queue is sharded: each mission owns one
+//! [`Scheduler`] tagged with its shard id ([`Scheduler::for_shard`]), and
+//! [`TimeCoordinator`]/[`run_shards`] advance many of them in parallel,
+//! synchronizing only at shared-resource events via conservative time
+//! windows (see the [`shard`] module docs). A solo run is the same type on
+//! shard 0 ([`Scheduler::new`]).
 //!
 //! # Example
 //! ```
@@ -42,103 +42,9 @@ mod time;
 
 pub use series::{Series, SeriesSet};
 pub use shard::{
-    run_shards, EventClass, EventId, Horizon, ShardClock, ShardPoll, ShardTask, TimeCoordinator,
+    run_shards, EventClass, EventId, Horizon, Scheduler, ShardPoll, ShardTask, TimeCoordinator,
 };
 pub use time::SimTime;
-
-/// Priority queue of timed events with a virtual clock.
-///
-/// `pop` advances the clock to the popped event's timestamp. Time never
-/// moves backwards: scheduling in the past panics (it would silently
-/// corrupt causality in the orchestrator).
-///
-/// Since the sharded-DES split this is a façade over one [`ShardClock`];
-/// the behaviour (and the tie-break order solo parity depends on) is
-/// unchanged.
-pub struct Scheduler<E> {
-    clock: ShardClock<E>,
-}
-
-impl<E> Default for Scheduler<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> Scheduler<E> {
-    /// Create an empty scheduler with the clock at time zero (shard 0).
-    pub fn new() -> Self {
-        Self::for_shard(0)
-    }
-
-    /// Create an empty scheduler whose clock is tagged with `shard` — used
-    /// by the fleet layer so each mission's queue knows its shard id.
-    pub fn for_shard(shard: usize) -> Self {
-        Scheduler {
-            clock: ShardClock::new(shard),
-        }
-    }
-
-    /// The shard id this scheduler's clock is tagged with (0 for solo runs).
-    pub fn shard(&self) -> usize {
-        self.clock.shard()
-    }
-
-    /// Current virtual time (timestamp of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.clock.now()
-    }
-
-    /// Number of live (non-cancelled) events still queued.
-    pub fn len(&self) -> usize {
-        self.clock.len()
-    }
-
-    /// True when no live events remain.
-    pub fn is_empty(&self) -> bool {
-        self.clock.is_empty()
-    }
-
-    /// Number of cancelled entries still awaiting lazy heap removal.
-    pub fn tombstones(&self) -> usize {
-        self.clock.tombstones()
-    }
-
-    /// Schedule `event` at absolute time `t`.
-    ///
-    /// # Panics
-    /// If `t` is earlier than the current clock.
-    pub fn schedule_at(&mut self, t: SimTime, event: E) -> EventId {
-        self.clock.schedule_at(t, event)
-    }
-
-    /// Schedule `event` `dt` seconds from now. Non-finite or negative `dt`
-    /// is clamped to 0.
-    pub fn schedule_in(&mut self, dt: f64, event: E) -> EventId {
-        self.clock.schedule_in(dt, event)
-    }
-
-    /// Cancel a previously scheduled event. Returns `false` when the event
-    /// already fired (or was already cancelled, or never existed).
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.clock.cancel(id)
-    }
-
-    /// Pop the earliest live event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.clock.pop()
-    }
-
-    /// Timestamp of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.clock.peek_time()
-    }
-
-    /// Timestamp and payload of the next live event without popping it.
-    pub fn peek(&mut self) -> Option<(SimTime, &E)> {
-        self.clock.peek()
-    }
-}
 
 /// Drive a world to completion: pop events and hand them to `handler`
 /// until the queue drains or `handler` returns `false` (stop requested).

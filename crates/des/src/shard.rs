@@ -1,11 +1,10 @@
 //! Sharded parallel DES: per-shard clocks plus a conservative time coordinator.
 //!
-//! The single-threaded [`Scheduler`](crate::Scheduler) caps every fleet-scale
-//! experiment at one core. This module splits it into:
+//! One event queue on one thread caps every fleet-scale experiment at one
+//! core. This module provides:
 //!
-//! * [`ShardClock`] — one event queue + local virtual clock per shard (a
-//!   mission, in the fleet layer). [`Scheduler`](crate::Scheduler) is now a
-//!   thin wrapper over shard 0, so solo runs are untouched.
+//! * [`Scheduler`] — one event queue + local virtual clock per shard (a
+//!   mission, in the fleet layer); a solo run is shard 0.
 //! * [`TimeCoordinator`] — tracks, per shard, a lower bound on the timestamp
 //!   of the next event that shard will execute, and computes from those
 //!   bounds a conservative **horizon** granting each shard a safe advance
@@ -93,18 +92,20 @@ pub enum EventClass {
     Shared,
 }
 
-/// Per-shard event queue with a local virtual clock.
+/// Priority queue of timed events with a local virtual clock.
 ///
-/// This is the former `Scheduler` body, now carrying a shard id so N of
-/// them can advance independently under [`run_shards`].
-/// [`Scheduler`](crate::Scheduler) wraps shard 0 and keeps its public API.
+/// `pop` advances the clock to the popped event's timestamp. Time never
+/// moves backwards: scheduling in the past panics (it would silently
+/// corrupt causality in the orchestrator). The queue carries a shard id so
+/// N of them can advance independently under [`run_shards`]; solo runs use
+/// shard 0.
 ///
 /// Cancellation bookkeeping: `live` holds the sequence numbers still in the
 /// heap and not cancelled, `cancelled` those still in the heap but dead.
 /// Every heap node is in exactly one of the two sets, so `len()` is exact
 /// and a stale cancel (the event already fired) is a no-op returning
 /// `false` — it cannot leave a tombstone behind.
-pub struct ShardClock<E> {
+pub struct Scheduler<E> {
     shard: usize,
     heap: BinaryHeap<Scheduled<E>>,
     live: HashSet<u64>,
@@ -113,10 +114,22 @@ pub struct ShardClock<E> {
     now: SimTime,
 }
 
-impl<E> ShardClock<E> {
-    /// Create an empty clock for `shard` with time at zero.
-    pub fn new(shard: usize) -> Self {
-        ShardClock {
+impl<E> Default for Scheduler<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<E> Scheduler<E> {
+    /// Create an empty scheduler with the clock at time zero (shard 0).
+    pub fn new() -> Self {
+        Self::for_shard(0)
+    }
+
+    /// Create an empty scheduler whose clock is tagged with `shard` — used
+    /// by the fleet layer so each mission's queue knows its shard id.
+    pub fn for_shard(shard: usize) -> Self {
+        Scheduler {
             shard,
             heap: BinaryHeap::new(),
             live: HashSet::new(),
@@ -126,7 +139,7 @@ impl<E> ShardClock<E> {
         }
     }
 
-    /// The shard this clock belongs to.
+    /// The shard id this scheduler's clock is tagged with (0 for solo runs).
     pub fn shard(&self) -> usize {
         self.shard
     }
@@ -340,7 +353,7 @@ pub enum ShardPoll {
 }
 
 /// One shard of work driven by [`run_shards`]: typically a full mission
-/// engine wrapped around a [`ShardClock`].
+/// engine wrapped around a [`Scheduler`].
 ///
 /// Contract: `poll` is cheap and side-effect-free (it may lazily tidy
 /// internal queues but must not advance the simulation); `step` executes
@@ -576,7 +589,7 @@ mod tests {
 
     #[test]
     fn shard_clock_carries_its_id() {
-        let c: ShardClock<u32> = ShardClock::new(3);
+        let c: Scheduler<u32> = Scheduler::for_shard(3);
         assert_eq!(c.shard(), 3);
         assert_eq!(c.now(), SimTime::ZERO);
     }
@@ -628,7 +641,7 @@ mod tests {
     /// shared log only at gated events — used to check that gated actions
     /// are globally ordered regardless of worker count.
     struct LogShard {
-        clock: ShardClock<u64>,
+        clock: Scheduler<u64>,
         shared_every: u64,
         log: Arc<StdMutex<Vec<(u64, usize)>>>,
         steps: Arc<AtomicUsize>,
@@ -643,7 +656,7 @@ mod tests {
             log: Arc<StdMutex<Vec<(u64, usize)>>>,
             steps: Arc<AtomicUsize>,
         ) -> Self {
-            let mut clock = ShardClock::new(shard);
+            let mut clock = Scheduler::for_shard(shard);
             for k in 0..n {
                 clock.schedule_at(SimTime::from_secs(k as f64), k);
             }

@@ -4,7 +4,7 @@
 //! `(time, shard)` order — same timestamps, same tie-break order, per
 //! shard and across shards.
 
-use des::{run_shards, ShardClock, ShardPoll, ShardTask, SimTime};
+use des::{run_shards, Scheduler, ShardPoll, ShardTask, SimTime};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
@@ -36,17 +36,17 @@ fn child_delay(tag: u64) -> f64 {
 type LocalTrace = Vec<(u64, u64)>; // (time bits, tag) in execution order
 type SharedTrace = Vec<(u64, usize, u64)>; // (time bits, shard, tag)
 
-/// A shard program over one [`ShardClock`], recording everything it
+/// A shard program over one [`Scheduler`], recording everything it
 /// executes; shared-class events also land on the fleet-wide trace.
 struct Prog {
-    clock: ShardClock<Ev>,
+    clock: Scheduler<Ev>,
     local: LocalTrace,
     shared: Arc<Mutex<SharedTrace>>,
 }
 
 impl Prog {
     fn new(shard: usize, initial: &[(f64, bool, u8)], shared: Arc<Mutex<SharedTrace>>) -> Self {
-        let mut clock = ShardClock::new(shard);
+        let mut clock = Scheduler::for_shard(shard);
         for (i, &(delay, is_shared, children)) in initial.iter().enumerate() {
             clock.schedule_in(
                 delay,

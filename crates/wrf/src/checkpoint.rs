@@ -18,7 +18,7 @@ use crate::fields::Fields;
 use crate::grid::Grid2;
 use crate::model::{ModelConfig, ModelError, WrfModel};
 use crate::nest::{Nest, NestConfig};
-use crate::solver::{KernelPath, PhysicsParams};
+use crate::solver::PhysicsParams;
 use crate::vortex::{VortexParams, VortexState};
 use crate::DomainGeom;
 use ncdf::{AttrValue, Data, Dataset, DimId};
@@ -36,6 +36,11 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// Snapshot header: magic | u32 LE version | u32 LE crc32(payload) |
 /// u64 LE payload length, then the payload.
 const SNAPSHOT_HEADER_LEN: usize = 4 + 4 + 4 + 8;
+
+/// Value of the `kernel_path` checkpoint attribute: the tag of the lanes
+/// kernels, the only ones that step a model. Tag 0 belonged to the retired
+/// scalar path; the oldest files carry no attribute at all.
+const LANES_KERNEL_TAG: i64 = 1;
 
 /// Write `payload` to `path` as a checksummed snapshot: the bytes go to a
 /// sibling `.tmp` file, are fsynced, and atomically renamed over `path`
@@ -166,7 +171,7 @@ impl WrfModel {
         );
         ds.set_attr("resolution_km", AttrValue::F64(cfg.resolution_km));
         ds.set_attr("decimation", AttrValue::I64(cfg.decimation as i64));
-        ds.set_attr("kernel_path", AttrValue::I64(cfg.kernel_path.as_index()));
+        ds.set_attr("kernel_path", AttrValue::I64(LANES_KERNEL_TAG));
         ds.set_attr("sim_secs", AttrValue::F64(sim_secs));
         ds.set_attr("steps_taken", AttrValue::I64(steps as i64));
         ds.set_attr(
@@ -266,14 +271,21 @@ impl WrfModel {
             height_km: n[2],
             recenter_km: n[3],
         };
-        // Absent in pre-lanes checkpoints: default. Present but unknown:
-        // reject rather than silently run a different kernel.
-        let kernel_path = match ds.attr("kernel_path").and_then(|a| a.as_f64()) {
-            None => KernelPath::default(),
-            Some(idx) => KernelPath::from_index(idx as i64).ok_or_else(|| {
-                ModelError::BadCheckpoint(format!("unknown kernel_path index {idx}"))
-            })?,
-        };
+        // A file written on another kernel must not silently resume on
+        // different low-order bits.
+        match ds.attr("kernel_path").map(|a| a.as_i64()) {
+            None | Some(Some(LANES_KERNEL_TAG)) => {}
+            Some(Some(0)) => {
+                return Err(ModelError::BadCheckpoint(
+                    "kernel_path 0: written by the retired scalar kernel path".into(),
+                ))
+            }
+            Some(other) => {
+                return Err(ModelError::BadCheckpoint(format!(
+                    "unknown kernel_path {other:?}"
+                )))
+            }
+        }
         let cfg = ModelConfig {
             geom,
             phys,
@@ -281,7 +293,6 @@ impl WrfModel {
             nest: nest_cfg,
             resolution_km: scalar("resolution_km")?,
             decimation: scalar("decimation")? as usize,
-            kernel_path,
         };
         let vs = list("vortex_state", 3)?;
         let vortex = VortexState {
@@ -444,32 +455,32 @@ mod tests {
     }
 
     #[test]
-    fn kernel_path_round_trips_and_defaults_when_absent() {
-        // Scalar path survives a checkpoint round trip.
-        let cfg = ModelConfig::aila_default()
-            .with_decimation(8)
-            .with_kernel_path(KernelPath::Scalar);
-        let mut m = WrfModel::new(cfg).unwrap();
+    fn kernel_path_tag_accepts_absent_or_lanes_and_rejects_the_rest() {
+        let mut m = model();
         m.advance_steps(3, 2).unwrap();
-        let r = WrfModel::restore(&m.checkpoint()).unwrap();
-        assert_eq!(r.config().kernel_path, KernelPath::Scalar);
-        assert_eq!(m, r);
-
-        // A pre-lanes checkpoint (no kernel_path attr) restores with the
-        // default path — old snapshots stay loadable.
         let bytes = m.checkpoint();
-        let mut ds = Dataset::from_bytes(&bytes).unwrap();
-        ds.remove_attr("kernel_path");
-        let legacy = WrfModel::restore(&ds.to_bytes()).unwrap();
-        assert_eq!(legacy.config().kernel_path, KernelPath::default());
-
-        // An unknown index is corruption, not a silent fallback.
-        let mut ds = Dataset::from_bytes(&bytes).unwrap();
-        ds.set_attr("kernel_path", AttrValue::I64(42));
-        assert!(matches!(
-            WrfModel::restore(&ds.to_bytes()),
-            Err(ModelError::BadCheckpoint(_))
-        ));
+        let with_tag = |tag: Option<i64>| {
+            let mut ds = Dataset::from_bytes(&bytes).unwrap();
+            match tag {
+                Some(t) => ds.set_attr("kernel_path", AttrValue::I64(t)),
+                None => {
+                    ds.remove_attr("kernel_path");
+                }
+            }
+            WrfModel::restore(&ds.to_bytes())
+        };
+        // Files without the attribute and lanes files restore equal.
+        assert_eq!(with_tag(None).unwrap(), m);
+        assert_eq!(with_tag(Some(1)).unwrap(), m);
+        // The retired scalar path and unknown tags are named, not resumed.
+        match with_tag(Some(0)) {
+            Err(ModelError::BadCheckpoint(msg)) => assert!(msg.contains("scalar"), "{msg}"),
+            other => panic!("scalar-path checkpoint must be rejected, got {other:?}"),
+        }
+        match with_tag(Some(42)) {
+            Err(ModelError::BadCheckpoint(msg)) => assert!(msg.contains("unknown"), "{msg}"),
+            other => panic!("unknown tag must be rejected, got {other:?}"),
+        }
     }
 
     #[test]

@@ -19,13 +19,13 @@
 //! steering flow. A two-way moving nest refines the cyclone region at a
 //! 1:3 ratio, exactly as the paper configures WRF.
 //!
-//! Parallelism mirrors the MPI decomposition two ways: a persistent
-//! rank team ([`pool::WorkerPool`]) used for real speed — spawned once
-//! per model, parked on a reusable barrier between passes, double-buffered
-//! so the hot loop never allocates — and an explicit halo-exchange rank
-//! solver ([`par::HaloWorkspace`]) that reproduces the message-passing
-//! structure with reusable channels and boundary-row buffers. Both are
-//! tested bitwise against the serial integrator.
+//! Parallelism mirrors the MPI decomposition with one engine: a
+//! persistent rank team ([`pool::WorkerPool`]) — spawned once per model,
+//! parked on a reusable barrier between passes, double-buffered so the hot
+//! loop never allocates — running f64×4 lane kernels over row bands. It is
+//! tested bitwise against the serial lanes integrator at every team size;
+//! the point-at-a-time scalar kernels survive only as the test oracle the
+//! lanes arithmetic is checked against.
 //!
 //! # Quickstart
 //!
@@ -48,7 +48,7 @@ mod geom;
 mod grid;
 mod model;
 mod nest;
-pub mod par;
+mod par;
 pub mod pool;
 mod simd;
 mod solver;
@@ -60,7 +60,7 @@ pub use grid::Grid2;
 pub use model::{ModelConfig, ModelError, WrfModel};
 pub use nest::{Nest, NestConfig};
 pub use pool::WorkerPool;
-pub use solver::{KernelPath, PhysicsParams};
+pub use solver::PhysicsParams;
 pub use vortex::{VortexParams, VortexState, BASE_PRESSURE_HPA};
 
 /// WRF's rule of thumb tying the integration time step to resolution:

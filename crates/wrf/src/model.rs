@@ -4,7 +4,7 @@ use crate::fields::Fields;
 use crate::geom::DomainGeom;
 use crate::nest::{Nest, NestConfig};
 use crate::pool::WorkerPool;
-use crate::solver::{KernelPath, PhysicsParams};
+use crate::solver::PhysicsParams;
 use crate::vortex::{VortexParams, VortexState, BASE_PRESSURE_HPA};
 use crate::{dt_for_resolution_secs, Grid2};
 use ncdf::{AttrValue, Data, Dataset};
@@ -62,13 +62,6 @@ pub struct ModelConfig {
     /// 60-hour mission integrates in milliseconds; the nominal resolution
     /// still drives dt, frame bytes, and the performance model.
     pub decimation: usize,
-    /// Which stencil kernels the rank team runs: the original scalar path
-    /// or the vectorized lanes path (default). Both are bitwise
-    /// deterministic against their own serial reference; they differ from
-    /// each other only in low-order floating-point bits (DESIGN.md §17).
-    /// Old (pre-lanes) ncdf checkpoints restore with the default — see
-    /// `checkpoint::restore`.
-    pub kernel_path: KernelPath,
 }
 
 impl ModelConfig {
@@ -81,7 +74,6 @@ impl ModelConfig {
             nest: NestConfig::aila(),
             resolution_km: 24.0,
             decimation: 1,
-            kernel_path: KernelPath::default(),
         }
     }
 
@@ -94,12 +86,6 @@ impl ModelConfig {
     /// Builder: nominal parent resolution.
     pub fn with_resolution(mut self, km: f64) -> Self {
         self.resolution_km = km;
-        self
-    }
-
-    /// Builder: stencil kernel path.
-    pub fn with_kernel_path(mut self, path: KernelPath) -> Self {
-        self.kernel_path = path;
         self
     }
 
@@ -176,17 +162,14 @@ impl PartialEq for Runtime {
 }
 
 impl Runtime {
-    fn ensure_pool(&mut self, workers: usize, path: KernelPath) {
+    fn ensure_pool(&mut self, workers: usize) {
         match &mut self.pool {
             Some(p) => {
                 if p.workers() != workers {
                     p.resize(workers);
                 }
-                if p.kernel_path() != path {
-                    p.set_kernel_path(path);
-                }
             }
-            None => self.pool = Some(WorkerPool::with_kernel_path(workers, path)),
+            None => self.pool = Some(WorkerPool::new(workers)),
         }
     }
 }
@@ -293,7 +276,7 @@ impl WrfModel {
     /// and re-centre only bilinearly sample probe-covered values, which
     /// cannot manufacture a non-finite parent point).
     pub fn advance_steps(&mut self, n: usize, threads: usize) -> Result<(), ModelError> {
-        self.runtime.ensure_pool(threads, self.cfg.kernel_path);
+        self.runtime.ensure_pool(threads);
         for _ in 0..n {
             let dt = self.dt_secs();
             let Runtime {
@@ -727,20 +710,6 @@ mod tests {
         m.advance_to_minutes(24.0 * 60.0, 1).unwrap();
         let (_, lat1) = m.eye_lonlat();
         assert!(lat1 > lat0 + 1.0, "eye moved north: {lat0} → {lat1}");
-    }
-
-    #[test]
-    fn scalar_kernel_path_still_advances() {
-        let cfg = fast_cfg().with_kernel_path(crate::KernelPath::Scalar);
-        let mut m = WrfModel::new(cfg).unwrap();
-        m.advance_steps(10, 2).unwrap();
-        assert_eq!(m.config().kernel_path, crate::KernelPath::Scalar);
-        assert!(m.min_pressure_hpa().is_finite());
-        // Scalar and lanes integrate the same physics; over a few steps the
-        // trajectories stay close even though they differ in low-order bits.
-        let mut l = WrfModel::new(fast_cfg()).unwrap();
-        l.advance_steps(10, 2).unwrap();
-        assert!((m.min_pressure_hpa() - l.min_pressure_hpa()).abs() < 1e-6);
     }
 
     #[test]

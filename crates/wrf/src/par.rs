@@ -1,44 +1,14 @@
-//! Parallel stepping: the MPI stand-ins.
+//! Row decomposition shared by the serial lanes reference and the rank
+//! team in [`crate::pool`].
 //!
-//! WRF decomposes its domain over MPI ranks; each rank advances its patch
-//! and exchanges halo rows with neighbours every step. This module
-//! reproduces that structure two ways:
-//!
-//! - [`step_spawning`] — the *legacy* shared-memory path: each of
-//!   `threads` workers is spawned fresh per pass per step and writes a
-//!   disjoint row band of the output. Kept as a benchmark reference and a
-//!   second parity witness; the production fast path is the persistent
-//!   team in [`crate::pool`], which does the same band decomposition
-//!   without per-step thread creation.
-//! - [`HaloWorkspace`] / [`step_halo_ranks`] — explicit message passing:
-//!   each rank owns a local band *plus halo rows*, and after the
-//!   continuity pass sends its boundary rows to its neighbours over
-//!   channels before the momentum pass reads them — a faithful miniature
-//!   of the MPI halo exchange. The workspace owns the channels, boundary
-//!   row buffers, and per-rank full-array shims, so a reused workspace
-//!   steps without allocating.
-//!
-//! Both are tested to produce results bitwise identical to the serial
-//! reference *of the same kernel path* ([`crate::solver::KernelPath`]):
-//! the scalar engines against the original serial integrator, the lanes
-//! engines against the lane-ordered serial reference. That per-path
-//! invariance is what makes processor-count changes invisible to the
-//! physics, which the job handler's restart logic relies on.
-//!
-//! Within each rank's band, sweeps run in L2-sized **row tiles**
-//! (`row_tiles`): a tile's rows are processed for all fields of a pass
-//! before moving on, so the ~8 f64 streams a fused pass touches stay
-//! resident instead of being evicted across a full-band walk. Tiling is
-//! bit-neutral — rows are independent within a pass and tiles never split
-//! a row.
-
-use crate::fields::Fields;
-use crate::solver::{
-    step_eta_q_rows, step_eta_q_rows_lanes, step_serial_into, step_serial_lanes_into, step_uv_rows,
-    step_uv_rows_lanes, KernelPath, LaneScratch, StepInputs,
-};
-use crate::{DomainGeom, PhysicsParams, VortexParams, VortexState};
-use crossbeam::channel::{bounded, Receiver, Sender};
+//! WRF decomposes its domain over MPI ranks; here each rank owns a
+//! contiguous **band** of rows ([`band_ranges`]), and within a band sweeps
+//! run in L2-sized **row tiles** ([`row_tiles`]): a tile's rows are
+//! processed for all fields of a pass before moving on, so the ~8 f64
+//! streams a fused pass touches stay resident instead of being evicted
+//! across a full-band walk. Both splits are bit-neutral — rows are
+//! independent within a pass and neither ever splits a row — which is what
+//! makes processor-count changes invisible to the physics.
 
 /// Split `n` rows into at most `parts` contiguous non-empty bands.
 pub(crate) fn band_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
@@ -81,432 +51,9 @@ pub(crate) fn row_tiles(j0: usize, j1: usize, nx: usize) -> impl Iterator<Item =
         .map(move |t0| (t0, (t0 + rows).min(j1)))
 }
 
-/// Advance one integration step on `threads` freshly spawned workers
-/// (legacy path — two spawn/join rounds per step; see [`crate::pool`] for
-/// the persistent-team replacement). Always runs the scalar kernels: this
-/// is the [`KernelPath::Scalar`] parity witness and profiling baseline.
-#[allow(clippy::too_many_arguments)]
-pub fn step_spawning(
-    old: &Fields,
-    vortex: &VortexState,
-    phys: &PhysicsParams,
-    vparams: &VortexParams,
-    geom: &DomainGeom,
-    dt_secs: f64,
-    threads: usize,
-) -> Fields {
-    let inp = StepInputs {
-        old,
-        vortex,
-        phys,
-        vparams,
-        geom,
-        dt_secs,
-    };
-    let mut new = Fields::zeros(old.nx(), old.ny(), old.dx_km);
-    if threads <= 1 {
-        step_serial_into(&inp, &mut new);
-        return new;
-    }
-    let (nx, ny) = (old.nx(), old.ny());
-    let bands = band_ranges(ny, threads);
-    new.origin_x_km = old.origin_x_km;
-    new.origin_y_km = old.origin_y_km;
-
-    // Pass 1: fused continuity + tracer (both read only the old state),
-    // one band per worker.
-    crossbeam::thread::scope(|s| {
-        let Fields { eta, q, .. } = &mut new;
-        let mut rest_eta = eta.data_mut();
-        let mut rest_q = q.data_mut();
-        for &(j0, j1) in &bands {
-            let (ce, te) = rest_eta.split_at_mut((j1 - j0) * nx);
-            let (cq, tq) = rest_q.split_at_mut((j1 - j0) * nx);
-            rest_eta = te;
-            rest_q = tq;
-            let inp = &inp;
-            s.spawn(move |_| {
-                step_eta_q_rows(inp, j0, j1, ce, cq);
-            });
-        }
-    })
-    .expect("solver worker panicked");
-
-    // Pass 2: momentum, reading the completed new eta.
-    let Fields { eta, u, v, .. } = &mut new;
-    let eta_new = eta.data();
-    crossbeam::thread::scope(|s| {
-        let mut rest_u = u.data_mut();
-        let mut rest_v = v.data_mut();
-        for &(j0, j1) in &bands {
-            let (cu, tu) = rest_u.split_at_mut((j1 - j0) * nx);
-            let (cv, tv) = rest_v.split_at_mut((j1 - j0) * nx);
-            rest_u = tu;
-            rest_v = tv;
-            let inp = &inp;
-            s.spawn(move |_| {
-                step_uv_rows(inp, eta_new, j0, j1, cu, cv);
-            });
-        }
-    })
-    .expect("solver worker panicked");
-
-    new
-}
-
-/// One directed neighbour link: a data channel carrying a boundary row and
-/// a recycle channel returning the buffer to the sender. The recycle
-/// channel is seeded with one row buffer at construction, so the exchange
-/// ping-pongs the same two allocations forever.
-struct Link {
-    data_tx: Sender<Vec<f64>>,
-    data_rx: Receiver<Vec<f64>>,
-    recycle_tx: Sender<Vec<f64>>,
-    recycle_rx: Receiver<Vec<f64>>,
-}
-
-impl Link {
-    fn new(nx: usize) -> Self {
-        let (data_tx, data_rx) = bounded::<Vec<f64>>(1);
-        let (recycle_tx, recycle_rx) = bounded::<Vec<f64>>(1);
-        recycle_tx
-            .send(vec![0.0; nx])
-            .expect("seed recycle channel");
-        Link {
-            data_tx,
-            data_rx,
-            recycle_tx,
-            recycle_rx,
-        }
-    }
-}
-
-/// Reusable state for [`HaloWorkspace::step`]: the neighbour channels,
-/// their ping-pong row buffers, and each rank's full-array eta shim. Build
-/// once, step many times — the steady state allocates nothing.
-pub struct HaloWorkspace {
-    /// Rank count asked for at construction (grid-shape rebuilds re-clamp
-    /// from this, not from a previous grid's clamped value).
-    requested: usize,
-    ranks: usize,
-    nx: usize,
-    ny: usize,
-    /// Kernel implementation this workspace runs (fixed at construction;
-    /// grid-shape rebuilds preserve it).
-    path: KernelPath,
-    /// `up[r]` carries rank r's top boundary row to rank r+1.
-    up: Vec<Link>,
-    /// `down[r]` carries rank r+1's bottom boundary row to rank r.
-    down: Vec<Link>,
-    /// Per-rank full-array shim for the momentum pass. Only the rows this
-    /// rank can see (its band ± one halo row) are refreshed each step;
-    /// everything else is stale from earlier steps and never read, because
-    /// the stencil reaches at most one row beyond the band.
-    eta_full: Vec<Vec<f64>>,
-    /// Per-rank finite probes (scalar path).
-    probes: Vec<f64>,
-    /// Per-rank lane scratch (lanes path).
-    lane_scratch: Vec<LaneScratch>,
-    /// Per-row probe slots (lanes path): ranks write disjoint row bands,
-    /// the caller reduces in ascending row order.
-    probe_rows: Vec<f64>,
-}
-
-impl HaloWorkspace {
-    /// Workspace for `ranks` message-passing ranks on an `nx × ny` grid,
-    /// running the default kernel path.
-    pub fn new(ranks: usize, nx: usize, ny: usize) -> Self {
-        Self::with_kernel_path(ranks, nx, ny, KernelPath::default())
-    }
-
-    /// Workspace pinned to a specific kernel path (parity tests and the
-    /// profiling baseline use `Scalar`).
-    pub fn with_kernel_path(ranks: usize, nx: usize, ny: usize, path: KernelPath) -> Self {
-        let nranks = band_ranges(ny, ranks.max(1)).len();
-        HaloWorkspace {
-            requested: ranks.max(1),
-            ranks: nranks,
-            nx,
-            ny,
-            path,
-            up: (0..nranks.saturating_sub(1))
-                .map(|_| Link::new(nx))
-                .collect(),
-            down: (0..nranks.saturating_sub(1))
-                .map(|_| Link::new(nx))
-                .collect(),
-            eta_full: (0..nranks).map(|_| vec![0.0; nx * ny]).collect(),
-            probes: vec![0.0; nranks],
-            lane_scratch: (0..nranks).map(|_| LaneScratch::default()).collect(),
-            probe_rows: vec![0.0; ny],
-        }
-    }
-
-    /// Number of ranks actually used (≤ requested: never more than rows).
-    pub fn ranks(&self) -> usize {
-        self.ranks
-    }
-
-    /// The kernel path this workspace was built with.
-    pub fn kernel_path(&self) -> KernelPath {
-        self.path
-    }
-
-    /// Advance one step with a real halo exchange of the freshly computed
-    /// continuity field, writing into `out`. Returns the finite probe.
-    /// Rebuilds the internal buffers only if the grid shape changed since
-    /// the last call.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step(
-        &mut self,
-        old: &Fields,
-        vortex: &VortexState,
-        phys: &PhysicsParams,
-        vparams: &VortexParams,
-        geom: &DomainGeom,
-        dt_secs: f64,
-        out: &mut Fields,
-    ) -> f64 {
-        let inp = StepInputs {
-            old,
-            vortex,
-            phys,
-            vparams,
-            geom,
-            dt_secs,
-        };
-        let (nx, ny) = (old.nx(), old.ny());
-        if nx != self.nx || ny != self.ny {
-            *self = Self::with_kernel_path(self.requested, nx, ny, self.path);
-        }
-        if self.ranks <= 1 {
-            return match self.path {
-                KernelPath::Scalar => step_serial_into(&inp, out),
-                KernelPath::Lanes => step_serial_lanes_into(
-                    &inp,
-                    &mut self.lane_scratch[0],
-                    &mut self.probe_rows,
-                    out,
-                ),
-            };
-        }
-        out.shape_like(old);
-        let bands = band_ranges(ny, self.ranks);
-        let nranks = bands.len();
-        debug_assert_eq!(nranks, self.ranks);
-        let path = self.path;
-
-        crossbeam::thread::scope(|s| {
-            let Fields { eta, u, v, q, .. } = out;
-            let mut rest_eta = eta.data_mut();
-            let mut rest_u = u.data_mut();
-            let mut rest_v = v.data_mut();
-            let mut rest_q = q.data_mut();
-            let mut rest_rows = self.probe_rows.as_mut_slice();
-            let mut shims = self.eta_full.iter_mut();
-            let mut probes = self.probes.iter_mut();
-            let mut scratches = self.lane_scratch.iter_mut();
-
-            for (r, &(j0, j1)) in bands.iter().enumerate() {
-                let rows = j1 - j0;
-                let (out_eta, te) = rest_eta.split_at_mut(rows * nx);
-                let (out_u, tu) = rest_u.split_at_mut(rows * nx);
-                let (out_v, tv) = rest_v.split_at_mut(rows * nx);
-                let (out_q, tq) = rest_q.split_at_mut(rows * nx);
-                let (band_rows, tr) = rest_rows.split_at_mut(rows);
-                rest_eta = te;
-                rest_u = tu;
-                rest_v = tv;
-                rest_q = tq;
-                rest_rows = tr;
-                let eta_full = shims.next().expect("one shim per rank");
-                let probe_slot = probes.next().expect("one probe per rank");
-                let scratch = scratches.next().expect("one scratch per rank");
-                let inp = &inp;
-
-                // Channel endpoints owned by this rank. Edge r joins ranks
-                // r and r+1; `up` flows r → r+1, `down` flows r+1 → r, and
-                // each link's recycle channel flows the other way.
-                let send_up = (r + 1 < nranks).then(|| {
-                    let l = &self.up[r];
-                    (l.data_tx.clone(), l.recycle_rx.clone())
-                });
-                let recv_below = (r > 0).then(|| {
-                    let l = &self.up[r - 1];
-                    (l.data_rx.clone(), l.recycle_tx.clone())
-                });
-                let send_down = (r > 0).then(|| {
-                    let l = &self.down[r - 1];
-                    (l.data_tx.clone(), l.recycle_rx.clone())
-                });
-                let recv_above = (r + 1 < nranks).then(|| {
-                    let l = &self.down[r];
-                    (l.data_rx.clone(), l.recycle_tx.clone())
-                });
-
-                s.spawn(move |_| {
-                    // Fused continuity + tracer pass straight into this
-                    // rank's band of the output (reads shared old state;
-                    // its halo is implicit in that read-only borrow, like
-                    // the initial scatter of an MPI run). The lanes path
-                    // sweeps the band in cache-sized row tiles and records
-                    // per-row probes instead of a running band sum.
-                    let mut probe = 0.0;
-                    match path {
-                        KernelPath::Scalar => {
-                            probe = step_eta_q_rows(inp, j0, j1, out_eta, out_q);
-                        }
-                        KernelPath::Lanes => {
-                            scratch.prepare(inp);
-                            for (t0, t1) in row_tiles(j0, j1, nx) {
-                                let (lo, hi) = ((t0 - j0) * nx, (t1 - j0) * nx);
-                                step_eta_q_rows_lanes(
-                                    inp,
-                                    scratch,
-                                    t0,
-                                    t1,
-                                    &mut out_eta[lo..hi],
-                                    &mut out_q[lo..hi],
-                                    &mut band_rows[t0 - j0..t1 - j0],
-                                );
-                            }
-                        }
-                    }
-
-                    // Halo exchange of the *new* eta: fetch a recycled
-                    // buffer, fill it with the boundary row, send.
-                    if let Some((tx, ret)) = &send_up {
-                        let mut buf = ret.recv().expect("recycled row available");
-                        buf.copy_from_slice(&out_eta[(rows - 1) * nx..]);
-                        tx.send(buf).expect("neighbour alive");
-                    }
-                    if let Some((tx, ret)) = &send_down {
-                        let mut buf = ret.recv().expect("recycled row available");
-                        buf.copy_from_slice(&out_eta[..nx]);
-                        tx.send(buf).expect("neighbour alive");
-                    }
-
-                    // Refresh the visible window of the full-array shim:
-                    // own band plus received halo rows, which go straight
-                    // back to their senders once copied.
-                    eta_full[j0 * nx..j1 * nx].copy_from_slice(out_eta);
-                    if let Some((rx, ret)) = &recv_below {
-                        let buf = rx.recv().expect("neighbour alive");
-                        eta_full[(j0 - 1) * nx..j0 * nx].copy_from_slice(&buf);
-                        ret.send(buf).expect("recycle capacity");
-                    }
-                    if let Some((rx, ret)) = &recv_above {
-                        let buf = rx.recv().expect("neighbour alive");
-                        eta_full[j1 * nx..(j1 + 1) * nx].copy_from_slice(&buf);
-                        ret.send(buf).expect("recycle capacity");
-                    }
-
-                    // Momentum pass over the shim (stale outside the
-                    // window, never read there: the stencil reaches one
-                    // row beyond the band at most).
-                    match path {
-                        KernelPath::Scalar => {
-                            probe += step_uv_rows(inp, eta_full, j0, j1, out_u, out_v);
-                            *probe_slot = probe;
-                        }
-                        KernelPath::Lanes => {
-                            for (t0, t1) in row_tiles(j0, j1, nx) {
-                                let (lo, hi) = ((t0 - j0) * nx, (t1 - j0) * nx);
-                                step_uv_rows_lanes(
-                                    inp,
-                                    scratch,
-                                    eta_full,
-                                    t0,
-                                    t1,
-                                    &mut out_u[lo..hi],
-                                    &mut out_v[lo..hi],
-                                    &mut band_rows[t0 - j0..t1 - j0],
-                                );
-                            }
-                        }
-                    }
-                });
-            }
-        })
-        .expect("rank panicked");
-
-        match self.path {
-            KernelPath::Scalar => self.probes.iter().sum(),
-            // Ascending-row reduction — the same fixed order as the serial
-            // lanes reference, independent of the band decomposition.
-            KernelPath::Lanes => self.probe_rows.iter().sum(),
-        }
-    }
-}
-
-/// Advance one step with `ranks` message-passing ranks — convenience
-/// wrapper building a throwaway [`HaloWorkspace`]. Reuse a workspace when
-/// stepping repeatedly; this wrapper pays the channel/buffer setup every
-/// call.
-pub fn step_halo_ranks(
-    old: &Fields,
-    vortex: &VortexState,
-    phys: &PhysicsParams,
-    vparams: &VortexParams,
-    geom: &DomainGeom,
-    dt_secs: f64,
-    ranks: usize,
-) -> Fields {
-    let mut ws = HaloWorkspace::new(ranks, old.nx(), old.ny());
-    let mut out = Fields::zeros(old.nx(), old.ny(), old.dx_km);
-    ws.step(old, vortex, phys, vparams, geom, dt_secs, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geom::DomainGeom;
-
-    fn setup() -> (Fields, VortexState, PhysicsParams, VortexParams, DomainGeom) {
-        let geom = DomainGeom::bay_of_bengal();
-        let phys = PhysicsParams::bay_of_bengal();
-        let vparams = VortexParams::aila();
-        let vortex = VortexState::genesis(&vparams, &geom);
-        let mut fields = Fields::zeros(36, 30, 192.0);
-        // Start from the analytic state so one step produces non-trivial
-        // tendencies everywhere.
-        for j in 0..fields.ny() {
-            for i in 0..fields.nx() {
-                let (x, y) = (fields.x_km(i), fields.y_km(j));
-                fields
-                    .eta
-                    .set(i, j, vortex.target_eta(x, y, &vparams) * 0.5);
-                let (u, v) = vortex.target_uv(x, y, &vparams);
-                fields.u.set(i, j, u * 0.5);
-                fields.v.set(i, j, v * 0.5);
-            }
-        }
-        (fields, vortex, phys, vparams, geom)
-    }
-
-    fn serial_lanes(
-        fields: &Fields,
-        vortex: &VortexState,
-        phys: &PhysicsParams,
-        vparams: &VortexParams,
-        geom: &DomainGeom,
-        dt: f64,
-    ) -> Fields {
-        let inp = StepInputs {
-            old: fields,
-            vortex,
-            phys,
-            vparams,
-            geom,
-            dt_secs: dt,
-        };
-        let mut out = Fields::zeros(fields.nx(), fields.ny(), fields.dx_km);
-        let mut scratch = LaneScratch::default();
-        let mut rows = Vec::new();
-        step_serial_lanes_into(&inp, &mut scratch, &mut rows, &mut out);
-        out
-    }
 
     #[test]
     fn row_tiles_cover_exactly_and_respect_minimum() {
@@ -551,116 +98,5 @@ mod tests {
                 assert!(bands.len() <= parts);
             }
         }
-    }
-
-    #[test]
-    fn spawning_step_matches_serial_bitwise() {
-        let (fields, vortex, phys, vparams, geom) = setup();
-        let dt = 6.0 * fields.dx_km;
-        let serial = step_spawning(&fields, &vortex, &phys, &vparams, &geom, dt, 1);
-        for threads in [2usize, 3, 4, 7] {
-            let par = step_spawning(&fields, &vortex, &phys, &vparams, &geom, dt, threads);
-            assert_eq!(serial, par, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn halo_rank_step_matches_lane_serial_bitwise() {
-        let (fields, vortex, phys, vparams, geom) = setup();
-        let dt = 6.0 * fields.dx_km;
-        let serial = serial_lanes(&fields, &vortex, &phys, &vparams, &geom, dt);
-        for ranks in [2usize, 3, 5, 8] {
-            let mp = step_halo_ranks(&fields, &vortex, &phys, &vparams, &geom, dt, ranks);
-            assert_eq!(serial, mp, "ranks = {ranks}");
-        }
-    }
-
-    /// Regression: the scalar path is untouched — a scalar workspace still
-    /// matches the original serial kernels byte for byte.
-    #[test]
-    fn scalar_workspace_still_matches_original_serial() {
-        let (fields, vortex, phys, vparams, geom) = setup();
-        let dt = 6.0 * fields.dx_km;
-        let serial = step_spawning(&fields, &vortex, &phys, &vparams, &geom, dt, 1);
-        for ranks in [2usize, 3, 5] {
-            let mut ws = HaloWorkspace::with_kernel_path(
-                ranks,
-                fields.nx(),
-                fields.ny(),
-                KernelPath::Scalar,
-            );
-            assert_eq!(ws.kernel_path(), KernelPath::Scalar);
-            let mut out = Fields::zeros(1, 1, 1.0);
-            ws.step(&fields, &vortex, &phys, &vparams, &geom, dt, &mut out);
-            assert_eq!(serial, out, "ranks = {ranks}");
-        }
-    }
-
-    #[test]
-    fn reused_workspace_matches_serial_across_steps() {
-        let (mut fields, mut vortex, phys, vparams, geom) = setup();
-        let dt = 6.0 * fields.dx_km;
-        let mut ws = HaloWorkspace::new(3, fields.nx(), fields.ny());
-        assert_eq!(ws.kernel_path(), KernelPath::Lanes);
-        let mut out = Fields::zeros(1, 1, 1.0);
-        for _ in 0..4 {
-            let serial = serial_lanes(&fields, &vortex, &phys, &vparams, &geom, dt);
-            let probe = ws.step(&fields, &vortex, &phys, &vparams, &geom, dt, &mut out);
-            assert_eq!(serial, out);
-            assert!(probe.is_finite());
-            std::mem::swap(&mut fields, &mut out);
-            vortex.advance(dt, &vparams, &geom);
-        }
-    }
-
-    #[test]
-    fn workspace_rebuilds_on_grid_change() {
-        let (fields, vortex, phys, vparams, geom) = setup();
-        let dt = 6.0 * fields.dx_km;
-        for path in [KernelPath::Scalar, KernelPath::Lanes] {
-            let mut ws = HaloWorkspace::with_kernel_path(3, 5, 5, path); // wrong shape on purpose
-            let mut out = Fields::zeros(1, 1, 1.0);
-            ws.step(&fields, &vortex, &phys, &vparams, &geom, dt, &mut out);
-            assert_eq!(ws.kernel_path(), path, "rebuild preserves the path");
-            let serial = match path {
-                KernelPath::Scalar => {
-                    step_spawning(&fields, &vortex, &phys, &vparams, &geom, dt, 1)
-                }
-                KernelPath::Lanes => serial_lanes(&fields, &vortex, &phys, &vparams, &geom, dt),
-            };
-            assert_eq!(serial, out, "{path:?}");
-        }
-    }
-
-    #[test]
-    fn more_ranks_than_rows_is_fine() {
-        let (fields, vortex, phys, vparams, geom) = setup();
-        let dt = 6.0 * fields.dx_km;
-        let serial_scalar = step_spawning(&fields, &vortex, &phys, &vparams, &geom, dt, 1);
-        let par = step_spawning(&fields, &vortex, &phys, &vparams, &geom, dt, 1000);
-        assert_eq!(serial_scalar, par);
-        let lanes = serial_lanes(&fields, &vortex, &phys, &vparams, &geom, dt);
-        let mp = step_halo_ranks(&fields, &vortex, &phys, &vparams, &geom, dt, 1000);
-        assert_eq!(lanes, mp);
-    }
-
-    #[test]
-    fn repeated_steps_stay_finite_and_track_vortex() {
-        let (mut fields, mut vortex, phys, vparams, geom) = setup();
-        let dt = 6.0 * fields.dx_km;
-        let mut pool = crate::pool::WorkerPool::with_exact_team(2);
-        let mut scratch = Fields::zeros(1, 1, 1.0);
-        for _ in 0..100 {
-            let probe = pool.step(&fields, &vortex, &phys, &vparams, &geom, dt, &mut scratch);
-            std::mem::swap(&mut fields, &mut scratch);
-            vortex.advance(dt, &vparams, &geom);
-            assert!(probe.is_finite());
-        }
-        // After ~100 steps of nudging, the field minimum should sit near
-        // the vortex centre.
-        let (p_min, x, y) = fields.min_pressure(vparams.hpa_per_eta_m);
-        assert!(p_min < 1010.0, "a depression formed: {p_min}");
-        let dist = ((x - vortex.x_km).powi(2) + (y - vortex.y_km).powi(2)).sqrt();
-        assert!(dist < 600.0, "eye within a few grid cells: {dist} km");
     }
 }

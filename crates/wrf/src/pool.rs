@@ -1,12 +1,10 @@
 //! Persistent-rank physics engine: a long-lived worker team for the
 //! integrator.
 //!
-//! The historical fast path ([`crate::par::step_spawning`]) spawned one OS
-//! thread per band *per pass per step* — two spawn/join rounds every step,
-//! plus a fresh `Fields::zeros` allocation. At WRF-like step times of a few
-//! milliseconds, thread creation is a first-order cost and the reason the
-//! seed profiling table showed *flat* scaling. This module replaces it with
-//! the structure a real MPI dycore uses:
+//! Spawning one OS thread per band per pass per step (what the seed
+//! engine did) makes thread creation a first-order cost at WRF-like step
+//! times of a few milliseconds. This module is the structure a real MPI
+//! dycore uses instead, and the only engine that steps a model:
 //!
 //! - **One team, spawned once.** A [`WorkerPool`] owns `team − 1` parked
 //!   OS threads; the caller's thread acts as the last team member. The
@@ -33,20 +31,18 @@
 //!
 //! # Parity
 //!
-//! Every band runs exactly the serial kernels *of the selected path*
-//! ([`KernelPath`]) on its rows, so results are **bitwise identical** to
-//! that path's serial reference for every team size: the scalar path
-//! against `solver::step_serial`, the lanes path against the lane-ordered
-//! serial reference (`solver::step_serial_lanes_into`), whose per-row
-//! probe slots make even the finite probe's bits independent of the band
-//! and tile decomposition. That property is load-bearing: the adaptive
-//! layer changes the processor count mid-run and the restart logic replays
-//! trajectories on different worker counts; parity makes both invisible to
-//! the physics.
+//! Every band runs exactly the serial lanes kernels on its rows, so
+//! results are **bitwise identical** to the lane-ordered serial reference
+//! (`solver::step_serial_lanes_into`, also the team-of-one fast path) for
+//! every team size; per-row probe slots make even the finite probe's bits
+//! independent of the band and tile decomposition. That property is
+//! load-bearing: the adaptive layer changes the processor count mid-run
+//! and the restart logic replays trajectories on different worker counts;
+//! parity makes both invisible to the physics.
 //!
-//! Within a band, the lanes path sweeps in L2-sized row tiles
-//! (`par::row_tiles`) — bit-neutral, since rows are independent
-//! within a pass and tiles never split a row.
+//! Within a band, sweeps run in L2-sized row tiles (`par::row_tiles`) —
+//! bit-neutral, since rows are independent within a pass and tiles never
+//! split a row.
 //!
 //! # Sizing
 //!
@@ -60,8 +56,8 @@ use crate::fields::Fields;
 use crate::geom::DomainGeom;
 use crate::par::{band_ranges, row_tiles};
 use crate::solver::{
-    step_eta_q_rows, step_eta_q_rows_lanes, step_serial_into, step_serial_lanes_into, step_uv_rows,
-    step_uv_rows_lanes, KernelPath, LaneScratch, PhysicsParams, StepInputs,
+    step_eta_q_rows_lanes, step_serial_lanes_into, step_uv_rows_lanes, LaneScratch, PhysicsParams,
+    StepInputs,
 };
 use crate::vortex::{VortexParams, VortexState};
 use std::sync::{Arc, Condvar, Mutex};
@@ -121,16 +117,13 @@ struct Job {
     u: *mut f64,
     v: *mut f64,
     q: *mut f64,
-    /// One finite-probe slot per team member (scalar path).
-    probes: *mut f64,
-    /// One finite-probe slot per grid *row* (lanes path): members write the
-    /// disjoint slots of their band, the caller reduces in ascending row
-    /// order so the probe's bits are team-size-invariant.
+    /// One finite-probe slot per grid *row*: members write the disjoint
+    /// slots of their band, the caller reduces in ascending row order so
+    /// the probe's bits are team-size-invariant.
     probe_rows: *mut f64,
     nx: usize,
     ny: usize,
     team: usize,
-    path: KernelPath,
 }
 
 // Safety: the raw pointers are only dereferenced between the job's
@@ -155,9 +148,8 @@ struct Shared {
 /// Run this member's bands for one job: fused continuity+tracer pass,
 /// barrier, momentum pass (reading the completed new eta), barrier.
 ///
-/// `scratch` is the member's persistent lane scratch (unused on the
-/// scalar path); keeping it on the worker avoids re-allocating the column
-/// tables every step.
+/// `scratch` is the member's persistent lane scratch; keeping it on the
+/// worker avoids re-allocating the column tables every step.
 ///
 /// # Safety
 /// Caller must guarantee the job's pointers are valid for the duration of
@@ -165,56 +157,33 @@ struct Shared {
 unsafe fn run_member(job: &Job, index: usize, barrier: &SenseBarrier, scratch: &mut LaneScratch) {
     let bands = band_ranges(job.ny, job.team);
     let inp: &StepInputs<'_> = &*job.inp;
-    let mut probe = 0.0;
+    let band = bands.get(index).copied();
 
-    if let Some(&(j0, j1)) = bands.get(index) {
-        match job.path {
-            KernelPath::Scalar => {
-                let len = (j1 - j0) * job.nx;
-                let off = j0 * job.nx;
-                let eta = std::slice::from_raw_parts_mut(job.eta.add(off), len);
-                let q = std::slice::from_raw_parts_mut(job.q.add(off), len);
-                probe += step_eta_q_rows(inp, j0, j1, eta, q);
-            }
-            KernelPath::Lanes => {
-                // Column tables once per step per member, then tile sweeps.
-                scratch.prepare(inp);
-                for (t0, t1) in row_tiles(j0, j1, job.nx) {
-                    let len = (t1 - t0) * job.nx;
-                    let off = t0 * job.nx;
-                    let eta = std::slice::from_raw_parts_mut(job.eta.add(off), len);
-                    let q = std::slice::from_raw_parts_mut(job.q.add(off), len);
-                    let rows = std::slice::from_raw_parts_mut(job.probe_rows.add(t0), t1 - t0);
-                    step_eta_q_rows_lanes(inp, scratch, t0, t1, eta, q, rows);
-                }
-            }
+    if let Some((j0, j1)) = band {
+        // Column tables once per step per member, then tile sweeps.
+        scratch.prepare(inp);
+        for (t0, t1) in row_tiles(j0, j1, job.nx) {
+            let len = (t1 - t0) * job.nx;
+            let off = t0 * job.nx;
+            let eta = std::slice::from_raw_parts_mut(job.eta.add(off), len);
+            let q = std::slice::from_raw_parts_mut(job.q.add(off), len);
+            let rows = std::slice::from_raw_parts_mut(job.probe_rows.add(t0), t1 - t0);
+            step_eta_q_rows_lanes(inp, scratch, t0, t1, eta, q, rows);
         }
     }
     barrier.wait();
-    if let Some(&(j0, j1)) = bands.get(index) {
+    if let Some((j0, j1)) = band {
         // The new eta is complete and no longer written: shared read view.
         let eta_new = std::slice::from_raw_parts(job.eta as *const f64, job.nx * job.ny);
-        match job.path {
-            KernelPath::Scalar => {
-                let len = (j1 - j0) * job.nx;
-                let off = j0 * job.nx;
-                let u = std::slice::from_raw_parts_mut(job.u.add(off), len);
-                let v = std::slice::from_raw_parts_mut(job.v.add(off), len);
-                probe += step_uv_rows(inp, eta_new, j0, j1, u, v);
-            }
-            KernelPath::Lanes => {
-                for (t0, t1) in row_tiles(j0, j1, job.nx) {
-                    let len = (t1 - t0) * job.nx;
-                    let off = t0 * job.nx;
-                    let u = std::slice::from_raw_parts_mut(job.u.add(off), len);
-                    let v = std::slice::from_raw_parts_mut(job.v.add(off), len);
-                    let rows = std::slice::from_raw_parts_mut(job.probe_rows.add(t0), t1 - t0);
-                    step_uv_rows_lanes(inp, scratch, eta_new, t0, t1, u, v, rows);
-                }
-            }
+        for (t0, t1) in row_tiles(j0, j1, job.nx) {
+            let len = (t1 - t0) * job.nx;
+            let off = t0 * job.nx;
+            let u = std::slice::from_raw_parts_mut(job.u.add(off), len);
+            let v = std::slice::from_raw_parts_mut(job.v.add(off), len);
+            let rows = std::slice::from_raw_parts_mut(job.probe_rows.add(t0), t1 - t0);
+            step_uv_rows_lanes(inp, scratch, eta_new, t0, t1, u, v, rows);
         }
     }
-    *job.probes.add(index) = probe;
     barrier.wait();
 }
 
@@ -248,15 +217,10 @@ pub struct WorkerPool {
     /// Actual team size, including the caller's thread.
     team: usize,
     clamp: bool,
-    /// Kernel implementation to run. Carried per job, so changing it never
-    /// requires a team rebuild.
-    path: KernelPath,
     /// `None` when `team == 1` (pure serial — no sync machinery at all).
     shared: Option<Arc<Shared>>,
     handles: Vec<JoinHandle<()>>,
-    /// Per-member finite probes, reused across steps (scalar path).
-    probes: Vec<f64>,
-    /// Per-row finite probes, reused across steps (lanes path).
+    /// Per-row finite probes, reused across steps.
     probe_rows: Vec<f64>,
     /// The caller-thread member's lane scratch.
     caller_scratch: LaneScratch,
@@ -267,7 +231,6 @@ impl std::fmt::Debug for WorkerPool {
         f.debug_struct("WorkerPool")
             .field("requested", &self.requested)
             .field("team", &self.team)
-            .field("path", &self.path)
             .finish()
     }
 }
@@ -281,30 +244,19 @@ fn host_parallelism() -> usize {
 impl WorkerPool {
     /// A pool of `workers` ranks, clamped to the host's available
     /// parallelism (oversubscription cannot help and parity makes the
-    /// clamp semantically invisible). Runs the default kernel path.
+    /// clamp semantically invisible).
     pub fn new(workers: usize) -> Self {
-        Self::build(workers, true, KernelPath::default())
-    }
-
-    /// A clamped pool pinned to a specific kernel path (the profiling
-    /// binary uses this to time scalar vs lanes on identical teams).
-    pub fn with_kernel_path(workers: usize, path: KernelPath) -> Self {
-        Self::build(workers, true, path)
+        Self::build(workers, true)
     }
 
     /// A pool with exactly `workers` ranks, no host clamp — for tests
     /// that must exercise real multi-thread interleavings even on small
-    /// hosts. Runs the default kernel path.
+    /// hosts.
     pub fn with_exact_team(workers: usize) -> Self {
-        Self::build(workers, false, KernelPath::default())
+        Self::build(workers, false)
     }
 
-    /// An unclamped pool pinned to a specific kernel path.
-    pub fn with_exact_team_path(workers: usize, path: KernelPath) -> Self {
-        Self::build(workers, false, path)
-    }
-
-    fn build(workers: usize, clamp: bool, path: KernelPath) -> Self {
+    fn build(workers: usize, clamp: bool) -> Self {
         let requested = workers.max(1);
         let team = if clamp {
             requested.min(host_parallelism())
@@ -338,10 +290,8 @@ impl WorkerPool {
             requested,
             team,
             clamp,
-            path,
             shared,
             handles,
-            probes: vec![0.0; team],
             probe_rows: Vec::new(),
             caller_scratch: LaneScratch::default(),
         }
@@ -355,17 +305,6 @@ impl WorkerPool {
     /// Actual team size after the host clamp (includes the caller).
     pub fn team_size(&self) -> usize {
         self.team
-    }
-
-    /// The kernel path this pool runs.
-    pub fn kernel_path(&self) -> KernelPath {
-        self.path
-    }
-
-    /// Switch kernel paths. Takes effect on the next step; the team is
-    /// untouched (the path rides in the published job).
-    pub fn set_kernel_path(&mut self, path: KernelPath) {
-        self.path = path;
     }
 
     /// Retarget the pool to `workers` ranks. A no-op when the effective
@@ -383,7 +322,7 @@ impl WorkerPool {
             return;
         }
         self.shutdown();
-        *self = Self::build(requested, self.clamp, self.path);
+        *self = Self::build(requested, self.clamp);
     }
 
     fn shutdown(&mut self) {
@@ -404,8 +343,8 @@ impl WorkerPool {
     /// (reshaped if needed; a warm buffer makes the step allocation-free).
     /// Returns the finite probe — non-finite iff some written value was.
     ///
-    /// Results are bitwise identical to the selected path's serial
-    /// reference for every team size.
+    /// Results are bitwise identical to the serial lanes reference for
+    /// every team size.
     #[allow(clippy::too_many_arguments)]
     pub fn step(
         &mut self,
@@ -426,19 +365,15 @@ impl WorkerPool {
             dt_secs,
         };
         if self.team <= 1 {
-            return match self.path {
-                KernelPath::Scalar => step_serial_into(&inp, out),
-                KernelPath::Lanes => step_serial_lanes_into(
-                    &inp,
-                    &mut self.caller_scratch,
-                    &mut self.probe_rows,
-                    out,
-                ),
-            };
+            return step_serial_lanes_into(
+                &inp,
+                &mut self.caller_scratch,
+                &mut self.probe_rows,
+                out,
+            );
         }
         out.shape_like(old);
         let (nx, ny) = (old.nx(), old.ny());
-        self.probes.fill(0.0);
         self.probe_rows.clear();
         self.probe_rows.resize(ny, 0.0);
         let job = Job {
@@ -449,12 +384,10 @@ impl WorkerPool {
             u: out.u.data_mut().as_mut_ptr(),
             v: out.v.data_mut().as_mut_ptr(),
             q: out.q.data_mut().as_mut_ptr(),
-            probes: self.probes.as_mut_ptr(),
             probe_rows: self.probe_rows.as_mut_ptr(),
             nx,
             ny,
             team: self.team,
-            path: self.path,
         };
         let shared = self.shared.as_ref().expect("team > 1 has workers");
         {
@@ -478,12 +411,9 @@ impl WorkerPool {
         // Workers are parked again (their epoch matches): clear the slot so
         // the raw pointers do not dangle past this frame.
         shared.slot.lock().expect("job slot lock").job = None;
-        match self.path {
-            KernelPath::Scalar => self.probes.iter().sum(),
-            // Ascending-row reduction — identical bits to the serial lanes
-            // reference at every team size.
-            KernelPath::Lanes => self.probe_rows.iter().sum(),
-        }
+        // Ascending-row reduction — identical bits to the serial lanes
+        // reference at every team size.
+        self.probe_rows.iter().sum()
     }
 }
 
@@ -496,7 +426,6 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::step_serial;
 
     fn setup() -> (Fields, VortexState, PhysicsParams, VortexParams, DomainGeom) {
         let geom = DomainGeom::bay_of_bengal();
@@ -516,24 +445,6 @@ mod tests {
             }
         }
         (fields, vortex, phys, vparams, geom)
-    }
-
-    fn serial_reference(
-        fields: &Fields,
-        vortex: &VortexState,
-        phys: &PhysicsParams,
-        vparams: &VortexParams,
-        geom: &DomainGeom,
-        dt: f64,
-    ) -> Fields {
-        step_serial(&StepInputs {
-            old: fields,
-            vortex,
-            phys,
-            vparams,
-            geom,
-            dt_secs: dt,
-        })
     }
 
     fn lanes_reference(
@@ -566,7 +477,6 @@ mod tests {
         let (serial, serial_probe) = lanes_reference(&fields, &vortex, &phys, &vparams, &geom, dt);
         for team in [1usize, 2, 3, 4, 7, 8] {
             let mut pool = WorkerPool::with_exact_team(team);
-            assert_eq!(pool.kernel_path(), KernelPath::Lanes);
             let mut out = Fields::zeros(1, 1, 1.0);
             let probe = pool.step(&fields, &vortex, &phys, &vparams, &geom, dt, &mut out);
             assert_eq!(serial, out, "team = {team}");
@@ -574,42 +484,6 @@ mod tests {
             // *bits*, not merely finite, at every team size.
             assert_eq!(probe.to_bits(), serial_probe.to_bits(), "team = {team}");
         }
-    }
-
-    /// Regression: a scalar-path pool still matches the original serial
-    /// kernels byte for byte at every team size.
-    #[test]
-    fn scalar_pool_still_matches_original_serial() {
-        let (fields, vortex, phys, vparams, geom) = setup();
-        let dt = 6.0 * fields.dx_km;
-        let serial = serial_reference(&fields, &vortex, &phys, &vparams, &geom, dt);
-        for team in [1usize, 2, 3, 5, 8] {
-            let mut pool = WorkerPool::with_exact_team_path(team, KernelPath::Scalar);
-            let mut out = Fields::zeros(1, 1, 1.0);
-            let probe = pool.step(&fields, &vortex, &phys, &vparams, &geom, dt, &mut out);
-            assert_eq!(serial, out, "team = {team}");
-            assert!(probe.is_finite());
-        }
-    }
-
-    /// Switching paths on a live pool takes effect immediately and each
-    /// path keeps matching its own reference.
-    #[test]
-    fn set_kernel_path_switches_references() {
-        let (fields, vortex, phys, vparams, geom) = setup();
-        let dt = 6.0 * fields.dx_km;
-        let scalar = serial_reference(&fields, &vortex, &phys, &vparams, &geom, dt);
-        let (lanes, _) = lanes_reference(&fields, &vortex, &phys, &vparams, &geom, dt);
-        let mut pool = WorkerPool::with_exact_team(3);
-        let mut out = Fields::zeros(1, 1, 1.0);
-        pool.step(&fields, &vortex, &phys, &vparams, &geom, dt, &mut out);
-        assert_eq!(lanes, out);
-        pool.set_kernel_path(KernelPath::Scalar);
-        pool.step(&fields, &vortex, &phys, &vparams, &geom, dt, &mut out);
-        assert_eq!(scalar, out);
-        pool.set_kernel_path(KernelPath::Lanes);
-        pool.step(&fields, &vortex, &phys, &vparams, &geom, dt, &mut out);
-        assert_eq!(lanes, out);
     }
 
     #[test]
@@ -642,7 +516,6 @@ mod tests {
         for team in [4usize, 1, 3, 2] {
             pool.resize(team);
             assert_eq!(pool.team_size(), team);
-            assert_eq!(pool.kernel_path(), KernelPath::Lanes, "resize keeps path");
             let probe = pool.step(&fields, &vortex, &phys, &vparams, &geom, dt, &mut out);
             assert_eq!(serial, out, "after resize to {team}");
             assert_eq!(probe.to_bits(), serial_probe.to_bits());
@@ -685,6 +558,26 @@ mod tests {
         let mut out = Fields::zeros(1, 1, 1.0);
         let probe = pool.step(&fields, &vortex, &phys, &vparams, &geom, dt, &mut out);
         assert!(!probe.is_finite());
+    }
+
+    #[test]
+    fn repeated_steps_stay_finite_and_track_vortex() {
+        let (mut fields, mut vortex, phys, vparams, geom) = setup();
+        let dt = 6.0 * fields.dx_km;
+        let mut pool = WorkerPool::with_exact_team(2);
+        let mut scratch = Fields::zeros(1, 1, 1.0);
+        for _ in 0..100 {
+            let probe = pool.step(&fields, &vortex, &phys, &vparams, &geom, dt, &mut scratch);
+            std::mem::swap(&mut fields, &mut scratch);
+            vortex.advance(dt, &vparams, &geom);
+            assert!(probe.is_finite());
+        }
+        // After ~100 steps of nudging, the field minimum should sit near
+        // the vortex centre.
+        let (p_min, x, y) = fields.min_pressure(vparams.hpa_per_eta_m);
+        assert!(p_min < 1010.0, "a depression formed: {p_min}");
+        let dist = ((x - vortex.x_km).powi(2) + (y - vortex.y_km).powi(2)).sqrt();
+        assert!(dist < 600.0, "eye within a few grid cells: {dist} km");
     }
 
     #[test]

@@ -30,54 +30,6 @@ use crate::simd::{exp4, F64x4};
 use crate::vortex::{VortexParams, VortexState};
 use serde::{Deserialize, Serialize};
 
-/// Which kernel implementation the engines run.
-///
-/// Both paths are full implementations of the same physics; they differ in
-/// arithmetic organization and therefore in low-order bits. Each path has
-/// its *own* serial reference and its own bitwise-parity contract across
-/// team sizes, tilings, and mid-run resizes — `Scalar` stays byte-exact
-/// with the historical kernels, `Lanes` is byte-exact with the
-/// lane-ordered serial reference (see DESIGN.md §17).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum KernelPath {
-    /// The original point-at-a-time kernels: libm transcendentals, true
-    /// divisions, left-to-right row sums. Kept selectable as the parity
-    /// baseline and the profiling reference.
-    Scalar,
-    /// f64×4 lane kernels (`wrf::simd`): separable Gaussian nudge
-    /// targets, branch-free `exp4`, reciprocal multiplies, and the fixed
-    /// per-row probe reduction order.
-    #[default]
-    Lanes,
-}
-
-impl KernelPath {
-    /// Stable integer tag used by the checkpoint attribute encoding.
-    pub fn as_index(self) -> i64 {
-        match self {
-            KernelPath::Scalar => 0,
-            KernelPath::Lanes => 1,
-        }
-    }
-
-    /// Inverse of [`KernelPath::as_index`].
-    pub fn from_index(idx: i64) -> Option<Self> {
-        match idx {
-            0 => Some(KernelPath::Scalar),
-            1 => Some(KernelPath::Lanes),
-            _ => None,
-        }
-    }
-
-    /// Lower-case label used in bench artifacts (`BENCH_physics.json`).
-    pub fn label(self) -> &'static str {
-        match self {
-            KernelPath::Scalar => "scalar",
-            KernelPath::Lanes => "lanes",
-        }
-    }
-}
-
 /// Physical and numerical parameters of the integrator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PhysicsParams {
@@ -157,6 +109,7 @@ pub(crate) struct StepInputs<'a> {
     pub dt_secs: f64,
 }
 
+#[cfg(test)]
 impl StepInputs<'_> {
     /// Moisture relaxation target: maritime background over sea, drier
     /// over land, with a moist core following the vortex.
@@ -184,6 +137,11 @@ impl StepInputs<'_> {
     }
 }
 
+/// The scalar kernels (this, [`step_uv_rows`], [`step_serial_into`]) are
+/// compiled for tests only: they are the point-at-a-time physical oracle
+/// `tests::lanes_and_scalar_agree_physically` holds the lanes kernels to,
+/// not an executable path.
+///
 /// Pass 1 (fused continuity + tracer): write new `eta` and `q` values for
 /// rows `j0..j1` into `out_eta`/`out_q`, which must be the row-major slices
 /// of those rows (`(j1 − j0) · nx` values each). Returns the finite probe
@@ -192,6 +150,7 @@ impl StepInputs<'_> {
 /// The eta row is computed before the q row of the same `j`, and each point
 /// uses exactly the arithmetic of the historical separate passes, so the
 /// fusion is bitwise-neutral.
+#[cfg(test)]
 pub(crate) fn step_eta_q_rows(
     inp: &StepInputs<'_>,
     j0: usize,
@@ -272,6 +231,7 @@ pub(crate) fn step_eta_q_rows(
 
 /// Pass 2: write new `(u, v)` for rows `j0..j1`, reading the *new* eta.
 /// Returns the finite probe (sum of everything written).
+#[cfg(test)]
 pub(crate) fn step_uv_rows(
     inp: &StepInputs<'_>,
     eta_new: &[f64],
@@ -784,6 +744,7 @@ pub(crate) fn step_serial_lanes_into(
 /// geometry differs). The kernels write every cell, so no zeroing is
 /// needed; a warm `out` makes the step allocation-free. Returns the finite
 /// probe.
+#[cfg(test)]
 pub(crate) fn step_serial_into(inp: &StepInputs<'_>, out: &mut Fields) -> f64 {
     let ny = inp.old.ny();
     out.shape_like(inp.old);
@@ -828,17 +789,6 @@ mod tests {
         let (_, y_south) = g.lonlat_to_km(90.0, -8.0);
         assert!(p.coriolis_at(y_north) > 0.0);
         assert!(p.coriolis_at(y_south) < 0.0);
-    }
-
-    #[test]
-    fn kernel_path_index_roundtrip() {
-        for path in [KernelPath::Scalar, KernelPath::Lanes] {
-            assert_eq!(KernelPath::from_index(path.as_index()), Some(path));
-        }
-        assert_eq!(KernelPath::from_index(7), None);
-        assert_eq!(KernelPath::default(), KernelPath::Lanes);
-        assert_eq!(KernelPath::Lanes.label(), "lanes");
-        assert_eq!(KernelPath::Scalar.label(), "scalar");
     }
 
     struct Scene {
@@ -947,8 +897,8 @@ mod tests {
         }
     }
 
-    /// The two kernel paths implement the same physics: they agree to
-    /// within stencil-arithmetic rounding, far tighter than any physical
+    /// The lanes kernels implement the scalar oracle's physics: they agree
+    /// to within stencil-arithmetic rounding, far tighter than any physical
     /// signal, but are not (and need not be) bitwise equal.
     #[test]
     fn lanes_and_scalar_agree_physically() {
@@ -971,6 +921,35 @@ mod tests {
             }
             assert!(worst < 1e-9, "{name}: worst |scalar − lanes| = {worst:e}");
         }
+    }
+
+    /// Low-order-bit differences do not grow into a physical one: ten
+    /// steps on each kernel from the same state leave the diagnosed
+    /// central pressure within 1e-6 hPa.
+    #[test]
+    fn lanes_and_scalar_trajectories_stay_close() {
+        let sc = scene(90, 70);
+        let (mut scalar, mut lanes) = (sc.fields.clone(), sc.fields.clone());
+        let mut vortex = sc.vortex;
+        let (mut next, mut lanes_next) = (Fields::zeros(1, 1, 1.0), Fields::zeros(1, 1, 1.0));
+        let mut scratch = LaneScratch::default();
+        let mut rows = Vec::new();
+        for _ in 0..10 {
+            let at = |old| StepInputs {
+                old,
+                vortex: &vortex,
+                ..sc.inputs()
+            };
+            step_serial_into(&at(&scalar), &mut next);
+            let inp = at(&lanes);
+            step_serial_lanes_into(&inp, &mut scratch, &mut rows, &mut lanes_next);
+            std::mem::swap(&mut scalar, &mut next);
+            std::mem::swap(&mut lanes, &mut lanes_next);
+            vortex.advance(120.0, &sc.vparams, &sc.geom);
+        }
+        let hpa = sc.vparams.hpa_per_eta_m;
+        let (p_scalar, p_lanes) = (scalar.min_pressure(hpa).0, lanes.min_pressure(hpa).0);
+        assert!((p_scalar - p_lanes).abs() < 1e-6, "{p_scalar} vs {p_lanes}");
     }
 
     /// The lanes probe keeps the blow-up guarantee: a non-finite value

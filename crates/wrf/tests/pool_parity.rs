@@ -1,16 +1,14 @@
-//! Property tests for the persistent rank team: every parallel execution
-//! path of the dynamical core must be *bitwise* identical to the serial
-//! step, for any grid shape, any team size, nest active or not, and
-//! across mid-run pool resizes. Parity is load-bearing — the adaptation
+//! Property tests for the persistent rank team: the pooled step of the
+//! dynamical core must be *bitwise* identical to the serial lanes step —
+//! fields and finite probe — for any grid shape, any team size, nest
+//! active or not, and across mid-run pool resizes. Parity is load-bearing — the adaptation
 //! layer retunes the worker count mid-mission, and a retune that nudged
 //! the trajectory would make every golden track and recovery byte-compare
 //! in the repo flaky.
 
 use proptest::prelude::*;
-use wrf::par::HaloWorkspace;
 use wrf::{
-    DomainGeom, Fields, KernelPath, ModelConfig, PhysicsParams, VortexParams, VortexState,
-    WorkerPool, WrfModel,
+    DomainGeom, Fields, ModelConfig, PhysicsParams, VortexParams, VortexState, WorkerPool, WrfModel,
 };
 
 /// Deterministic splitmix64 — cheap way to fill four grids from one seed
@@ -63,15 +61,10 @@ impl Scene {
         }
     }
 
+    /// The serial reference: team size 1 takes the serial fast path
+    /// inside the pool, the lane-ordered `step_serial_lanes_into`.
     fn serial_step(&self, old: &Fields) -> (Fields, f64) {
-        self.serial_step_path(old, KernelPath::default())
-    }
-
-    /// The per-path serial reference: team size 1 takes the serial fast
-    /// path inside the pool, which is `step_serial_into` for Scalar and
-    /// the lane-ordered `step_serial_lanes_into` for Lanes.
-    fn serial_step_path(&self, old: &Fields, path: KernelPath) -> (Fields, f64) {
-        let mut reference = WorkerPool::with_exact_team_path(1, path);
+        let mut reference = WorkerPool::with_exact_team(1);
         let mut out = Fields::zeros(1, 1, 1.0);
         let probe = reference.step(
             old,
@@ -89,10 +82,14 @@ impl Scene {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The pooled step is bitwise identical to serial for any grid shape
-    /// and any team size, including teams larger than the row count.
+    /// The lanes pool is bitwise identical to the lane-ordered serial
+    /// reference — fields AND probe — for any grid and team size,
+    /// including teams larger than the row count. The probe comparison is
+    /// exact because the kernels carry per-row probe slots and reduce them
+    /// in a documented fixed order, so the team decomposition can never
+    /// reorder the sum.
     #[test]
-    fn pooled_step_matches_serial_bitwise(
+    fn lanes_pool_matches_lane_ordered_serial_bitwise(
         nx in 4usize..40,
         ny in 4usize..40,
         team in 1usize..=8,
@@ -107,44 +104,18 @@ proptest! {
         let probe = pool.step(
             &old, &scene.vortex, &scene.phys, &scene.vparams, &scene.geom, 120.0, &mut got,
         );
-        prop_assert_eq!(&got, &want, "team {} diverged from serial", team);
-        // The probe is a float sum reduced in band order, so its low bits
-        // may differ from the serial row order — only its finiteness is
-        // meaningful (and here everything is finite).
-        prop_assert_eq!(probe.is_finite(), want_probe.is_finite());
+        prop_assert_eq!(&got, &want, "lanes team {} diverged from lanes serial", team);
+        prop_assert_eq!(
+            probe.to_bits(), want_probe.to_bits(),
+            "lanes probe must be bit-exact: {} vs {}", probe, want_probe
+        );
     }
 
-    /// A reused halo-exchange workspace (recycled channel buffers, warm
-    /// shim rows) stays bitwise identical to serial over multiple steps.
+    /// Mid-run resizes of a lanes pool — what `FollowDecision` does when
+    /// the manager retunes the processor count — keep the trajectory and every probe bit-exact against
+    /// the lane-ordered serial reference.
     #[test]
-    fn reused_halo_workspace_matches_serial_across_steps(
-        nx in 4usize..32,
-        ny in 4usize..32,
-        ranks in 1usize..=8,
-        steps in 1usize..4,
-        seed in any::<u64>(),
-    ) {
-        let scene = Scene::aila();
-        let mut serial = random_fields(nx, ny, seed);
-        let mut pooled = serial.clone();
-        let mut ws = HaloWorkspace::new(ranks, nx, ny);
-        let mut out = Fields::zeros(1, 1, 1.0);
-        for step in 0..steps {
-            let (want, want_probe) = scene.serial_step(&serial);
-            serial = want;
-            let probe = ws.step(
-                &pooled, &scene.vortex, &scene.phys, &scene.vparams, &scene.geom, 120.0, &mut out,
-            );
-            std::mem::swap(&mut pooled, &mut out);
-            prop_assert_eq!(&pooled, &serial, "step {} diverged", step);
-            prop_assert_eq!(probe.is_finite(), want_probe.is_finite());
-        }
-    }
-
-    /// Resizing the pool between steps — what `FollowDecision` does when
-    /// the manager retunes the processor count — never changes results.
-    #[test]
-    fn mid_run_pool_resizes_preserve_trajectory(
+    fn lanes_mid_run_resizes_stay_bitwise(
         nx in 4usize..32,
         ny in 4usize..32,
         teams in prop::collection::vec(1usize..=8, 2..5),
@@ -157,92 +128,7 @@ proptest! {
         let mut out = Fields::zeros(1, 1, 1.0);
         for &team in &teams {
             pool.resize(team);
-            let (want, _) = scene.serial_step(&serial);
-            serial = want;
-            pool.step(
-                &pooled, &scene.vortex, &scene.phys, &scene.vparams, &scene.geom, 120.0, &mut out,
-            );
-            std::mem::swap(&mut pooled, &mut out);
-            prop_assert_eq!(&pooled, &serial, "diverged after resize to {}", team);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// The lanes pool is bitwise identical to the lane-ordered serial
-    /// reference — fields AND probe — for any grid and team size. The
-    /// probe comparison is exact because the lanes path carries per-row
-    /// probe slots and reduces them in a documented fixed order, so the
-    /// team decomposition can never reorder the sum.
-    #[test]
-    fn lanes_pool_matches_lane_ordered_serial_bitwise(
-        nx in 4usize..40,
-        ny in 4usize..40,
-        team in 1usize..=8,
-        seed in any::<u64>(),
-    ) {
-        let scene = Scene::aila();
-        let old = random_fields(nx, ny, seed);
-        let (want, want_probe) = scene.serial_step_path(&old, KernelPath::Lanes);
-
-        let mut pool = WorkerPool::with_exact_team_path(team, KernelPath::Lanes);
-        let mut got = Fields::zeros(1, 1, 1.0);
-        let probe = pool.step(
-            &old, &scene.vortex, &scene.phys, &scene.vparams, &scene.geom, 120.0, &mut got,
-        );
-        prop_assert_eq!(&got, &want, "lanes team {} diverged from lanes serial", team);
-        prop_assert_eq!(
-            probe.to_bits(), want_probe.to_bits(),
-            "lanes probe must be bit-exact: {} vs {}", probe, want_probe
-        );
-    }
-
-    /// Regression: the scalar path is untouched by the vectorization —
-    /// a scalar pool at any team size still reproduces the original
-    /// serial kernel bit for bit.
-    #[test]
-    fn scalar_pool_still_matches_original_serial_bitwise(
-        nx in 4usize..40,
-        ny in 4usize..40,
-        team in 1usize..=8,
-        seed in any::<u64>(),
-    ) {
-        let scene = Scene::aila();
-        let old = random_fields(nx, ny, seed);
-        let (want, want_probe) = scene.serial_step_path(&old, KernelPath::Scalar);
-
-        let mut pool = WorkerPool::with_exact_team_path(team, KernelPath::Scalar);
-        let mut got = Fields::zeros(1, 1, 1.0);
-        let probe = pool.step(
-            &old, &scene.vortex, &scene.phys, &scene.vparams, &scene.geom, 120.0, &mut got,
-        );
-        prop_assert_eq!(&got, &want, "scalar team {} diverged from serial", team);
-        // The scalar probe is still reduced in band order (pre-existing
-        // contract), so only finiteness is comparable across team sizes.
-        prop_assert_eq!(probe.is_finite(), want_probe.is_finite());
-    }
-
-    /// Mid-run resizes of a lanes pool — the adaptation layer retuning
-    /// workers — keep the trajectory and every probe bit-exact against
-    /// the lane-ordered serial reference.
-    #[test]
-    fn lanes_mid_run_resizes_stay_bitwise(
-        nx in 4usize..32,
-        ny in 4usize..32,
-        teams in prop::collection::vec(1usize..=8, 2..5),
-        seed in any::<u64>(),
-    ) {
-        let scene = Scene::aila();
-        let mut serial = random_fields(nx, ny, seed);
-        let mut pooled = serial.clone();
-        let mut pool = WorkerPool::with_exact_team_path(teams[0], KernelPath::Lanes);
-        let mut out = Fields::zeros(1, 1, 1.0);
-        for &team in &teams {
-            pool.resize(team);
-            prop_assert_eq!(pool.kernel_path(), KernelPath::Lanes, "resize must keep the path");
-            let (want, want_probe) = scene.serial_step_path(&serial, KernelPath::Lanes);
+            let (want, want_probe) = scene.serial_step(&serial);
             serial = want;
             let probe = pool.step(
                 &pooled, &scene.vortex, &scene.phys, &scene.vparams, &scene.geom, 120.0, &mut out,
@@ -264,13 +150,9 @@ proptest! {
     fn model_advance_is_thread_count_invariant(
         threads in 2usize..=6,
         with_nest in any::<bool>(),
-        scalar_path in any::<bool>(),
         steps in 1usize..3,
     ) {
-        let path = if scalar_path { KernelPath::Scalar } else { KernelPath::Lanes };
-        let cfg = ModelConfig::aila_default()
-            .with_resolution(48.0)
-            .with_kernel_path(path);
+        let cfg = ModelConfig::aila_default().with_resolution(48.0);
         let mut reference = WrfModel::new(cfg).expect("valid configuration");
         let mut parallel = reference.clone();
         if with_nest {
