@@ -49,7 +49,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use viz::TrackLog;
 
-pub(crate) const FRAME_MAGIC: &[u8; 4] = b"AFR3";
+const FRAME_MAGIC: &[u8; 4] = b"AFR3";
 /// Magic bytes opening the resume handshake ("AHL2"): the receiver's
 /// hello carries its last-applied sequence so a sender — or the broker's
 /// per-client cursors ([`crate::broker`]) — resumes exactly where the
@@ -57,13 +57,107 @@ pub(crate) const FRAME_MAGIC: &[u8; 4] = b"AFR3";
 pub const HANDSHAKE_MAGIC: &[u8; 4] = b"AHL2";
 /// Upper bound on a frame payload (defends the receiver against a corrupt
 /// length prefix).
-pub(crate) const MAX_FRAME_BYTES: u32 = 1 << 30;
+const MAX_FRAME_BYTES: u32 = 1 << 30;
 /// Default socket connect/read/write timeout for senders.
 const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 pub(crate) const ACK_APPLIED: u8 = b'+';
 pub(crate) const ACK_REJECTED: u8 = b'-';
 pub(crate) const ACK_PROTOCOL: u8 = b'!';
+
+/// Size of an `AFR3` frame header (and of the serving tier's `ACT1`
+/// control record, which rides in the same slot).
+pub(crate) const HEADER_BYTES: usize = 21;
+/// Most a receive buffer grows past the body bytes that have actually
+/// arrived (see [`read_body`]).
+const BODY_GROWTH_STEP: usize = 1 << 20;
+
+/// The `AFR3` frame header: the one place its byte layout is written
+/// down. Both senders build it, both receivers parse it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FrameHeader {
+    /// 1-based wire sequence.
+    pub(crate) seq: u64,
+    /// Body length in bytes.
+    pub(crate) len: u32,
+    /// CRC-32 of the body.
+    pub(crate) crc: u32,
+    /// Degradation rung the body was encoded at.
+    pub(crate) rung: QosRung,
+}
+
+/// Why 21 bytes are not a frame header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum HeaderError {
+    /// The first four bytes are not `AFR3`.
+    BadMagic,
+    /// The rung byte names no [`QosRung`].
+    UnknownRung,
+    /// The advertised length exceeds [`MAX_FRAME_BYTES`].
+    Oversized,
+}
+
+impl FrameHeader {
+    /// `AFR3 | u64 LE seq | u32 LE len | u32 LE crc | u8 rung`.
+    pub(crate) fn to_bytes(self) -> [u8; HEADER_BYTES] {
+        let mut header = [0u8; HEADER_BYTES];
+        header[..4].copy_from_slice(FRAME_MAGIC);
+        header[4..12].copy_from_slice(&self.seq.to_le_bytes());
+        header[12..16].copy_from_slice(&self.len.to_le_bytes());
+        header[16..20].copy_from_slice(&self.crc.to_le_bytes());
+        header[20] = self.rung.as_byte();
+        header
+    }
+
+    /// Decode and validate a header; nothing is allocated or read on its
+    /// word until this returns `Ok`.
+    pub(crate) fn parse(header: &[u8; HEADER_BYTES]) -> Result<Self, HeaderError> {
+        if &header[..4] != FRAME_MAGIC {
+            return Err(HeaderError::BadMagic);
+        }
+        let rung = QosRung::from_byte(header[20]).ok_or(HeaderError::UnknownRung)?;
+        let len = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
+        if len > MAX_FRAME_BYTES {
+            return Err(HeaderError::Oversized);
+        }
+        Ok(Self {
+            seq: u64::from_le_bytes(header[4..12].try_into().expect("8 bytes")),
+            len,
+            crc: u32::from_le_bytes(header[16..20].try_into().expect("4 bytes")),
+            rung,
+        })
+    }
+}
+
+/// Receive a `len`-byte body into the front of `buf` — a per-connection
+/// buffer reused across frames — and return it. `fill` reads exactly the
+/// slice it is handed (under whatever deadline or stop flag the caller
+/// keeps) and its first error ends the read.
+///
+/// `buf.len()` is the buffer's initialised extent, not a body length: it
+/// only grows, so a stream of same-sized frames is read in place with no
+/// allocation and no zeroing after the first. It grows in steps of at
+/// most [`BODY_GROWTH_STEP`] past the bytes already received
+/// (`reserve_exact`, so no amortised doubling either): the header's
+/// length is the peer's claim, up to [`MAX_FRAME_BYTES`], and memory is
+/// committed only as the bytes arrive to back it.
+pub(crate) fn read_body<E>(
+    buf: &mut Vec<u8>,
+    len: usize,
+    mut fill: impl FnMut(&mut [u8]) -> Result<(), E>,
+) -> Result<&[u8], E> {
+    let mut filled = 0usize;
+    while filled < len {
+        let end = filled + (len - filled).min(BODY_GROWTH_STEP);
+        if buf.len() < end {
+            buf.reserve_exact(end - buf.len());
+            buf.resize(end, 0);
+        }
+        fill(&mut buf[filled..end])?;
+        filled = end;
+    }
+    Ok(&buf[..len])
+}
 
 /// Transport failures.
 #[derive(Debug)]
@@ -191,13 +285,13 @@ impl FrameSender {
         if payload.len() as u64 > MAX_FRAME_BYTES as u64 {
             return Err(TransportError::BadFrame("payload exceeds frame limit"));
         }
-        let mut header = [0u8; 21];
-        header[..4].copy_from_slice(FRAME_MAGIC);
-        header[4..12].copy_from_slice(&seq.to_le_bytes());
-        header[12..16].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        header[16..20].copy_from_slice(&crc32(payload).to_le_bytes());
-        header[20] = rung.as_byte();
-        self.stream.write_all(&header)?;
+        let header = FrameHeader {
+            seq,
+            len: payload.len() as u32,
+            crc: crc32(payload),
+            rung,
+        };
+        self.stream.write_all(&header.to_bytes())?;
         self.stream.write_all(payload)?;
         let mut ack = [0u8; 9];
         self.read_exact_to(&mut ack)?;
@@ -362,38 +456,39 @@ fn serve_connection(
     if stream.write_all(&hello).is_err() {
         return;
     }
+    // One receive buffer per connection, reused frame after frame.
+    let mut body = Vec::new();
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
         }
-        let mut header = [0u8; 21];
+        let mut header = [0u8; HEADER_BYTES];
         match read_exact_interruptible(&mut stream, &mut header, stop) {
             Ok(true) => {}
             _ => return, // peer gone or stop requested
         }
         let applied_now = last_applied.load(Ordering::SeqCst);
-        if &header[..4] != FRAME_MAGIC {
-            // Protocol violation: explicit terminal nack, then close.
-            send_ack(&mut stream, ACK_PROTOCOL, applied_now);
-            return;
-        }
-        let seq = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
-        let len = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes"));
-        let Some(rung) = QosRung::from_byte(header[20]) else {
-            // An unknown rung is undecodable by construction: terminal nack.
+        let Ok(FrameHeader {
+            seq,
+            len,
+            crc,
+            rung,
+        }) = FrameHeader::parse(&header)
+        else {
+            // Protocol violation (bad magic, a rung that is undecodable by
+            // construction, an oversized length): explicit terminal nack,
+            // then close.
             send_ack(&mut stream, ACK_PROTOCOL, applied_now);
             return;
         };
-        if len > MAX_FRAME_BYTES {
-            send_ack(&mut stream, ACK_PROTOCOL, applied_now);
+        let Ok(payload) = read_body(&mut body, len as usize, |chunk| {
+            match read_exact_interruptible(&mut stream, chunk, stop) {
+                Ok(true) => Ok(()),
+                _ => Err(()), // peer gone or stop requested
+            }
+        }) else {
             return;
-        }
-        let mut payload = vec![0u8; len as usize];
-        match read_exact_interruptible(&mut stream, &mut payload, stop) {
-            Ok(true) => {}
-            _ => return,
-        }
+        };
         // Fault-injection hook: die mid-frame, after receiving but before
         // applying or acking — the worst-timed crash for the sender.
         if let Some(left) = frames_left_to_kill {
@@ -412,11 +507,11 @@ fn serve_connection(
             }
             continue;
         }
-        let ok = crc == crc32(&payload)
+        let ok = crc == crc32(payload)
             && match rung {
                 // Full resolution keeps the legacy contract: a decodable
                 // dataset counts as applied even when no eye is found.
-                QosRung::FullRes => match ncdf::DatasetView::parse(&payload) {
+                QosRung::FullRes => match ncdf::DatasetView::parse(payload) {
                     Ok(view) => {
                         track.ingest(&view);
                         true
@@ -424,7 +519,7 @@ fn serve_connection(
                     Err(_) => false,
                 },
                 // Degraded rungs decode per the header's rung byte.
-                _ => qos::apply_body(track, rung, &payload),
+                _ => qos::apply_body(track, rung, payload),
             };
         if ok {
             frames.fetch_add(1, Ordering::SeqCst);
@@ -509,7 +604,101 @@ fn read_exact_interruptible(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use wrf::{ModelConfig, WrfModel};
+
+    proptest! {
+        #[test]
+        fn header_round_trips_and_a_mutated_field_parses_exactly_or_fails_by_name(
+            seq in any::<u64>(),
+            len in 0..=MAX_FRAME_BYTES,
+            crc in any::<u32>(),
+            rung in prop::sample::select(QosRung::ALL.to_vec()),
+            field in 0usize..5,
+            noise in any::<u64>(),
+        ) {
+            let header = FrameHeader { seq, len, crc, rung };
+            let bytes = header.to_bytes();
+            prop_assert_eq!(FrameHeader::parse(&bytes), Ok(header));
+
+            // Overwrite one field's bytes on the wire; the parse is the
+            // header with exactly that field changed, or that field's error.
+            let mut mutated = bytes;
+            let want = match field {
+                0 => {
+                    mutated[..4].copy_from_slice(&(noise as u32).to_le_bytes());
+                    if &mutated[..4] == FRAME_MAGIC {
+                        Ok(header)
+                    } else {
+                        Err(HeaderError::BadMagic)
+                    }
+                }
+                1 => {
+                    mutated[4..12].copy_from_slice(&noise.to_le_bytes());
+                    Ok(FrameHeader { seq: noise, ..header })
+                }
+                2 => {
+                    let len = noise as u32;
+                    mutated[12..16].copy_from_slice(&len.to_le_bytes());
+                    if len > MAX_FRAME_BYTES {
+                        Err(HeaderError::Oversized)
+                    } else {
+                        Ok(FrameHeader { len, ..header })
+                    }
+                }
+                3 => {
+                    mutated[16..20].copy_from_slice(&(noise as u32).to_le_bytes());
+                    Ok(FrameHeader { crc: noise as u32, ..header })
+                }
+                _ => {
+                    mutated[20] = noise as u8;
+                    match QosRung::from_byte(noise as u8) {
+                        Some(rung) => Ok(FrameHeader { rung, ..header }),
+                        None => Err(HeaderError::UnknownRung),
+                    }
+                }
+            };
+            prop_assert_eq!(FrameHeader::parse(&mutated), want);
+        }
+    }
+
+    #[test]
+    fn body_buffer_grows_behind_the_bytes_and_is_reused_in_place() {
+        // A 2.5-step body is asked for one step at a time, and the buffer
+        // ends exactly as large as what arrived.
+        let len = 2 * BODY_GROWTH_STEP + BODY_GROWTH_STEP / 2;
+        let mut buf = Vec::new();
+        let mut fills = Vec::new();
+        let body = read_body(&mut buf, len, |chunk| {
+            fills.push(chunk.len());
+            chunk.fill(0xAB);
+            Ok::<(), ()>(())
+        })
+        .expect("every fill succeeds");
+        assert_eq!(body.len(), len);
+        assert!(body.iter().all(|&b| b == 0xAB));
+        assert_eq!(
+            fills,
+            [BODY_GROWTH_STEP, BODY_GROWTH_STEP, BODY_GROWTH_STEP / 2]
+        );
+        assert_eq!(buf.capacity(), len, "exact growth, no doubling");
+
+        // A peer that advertises the cap and delivers nothing costs one step.
+        let mut hostile = Vec::new();
+        let cut = read_body(&mut hostile, MAX_FRAME_BYTES as usize, |_| Err("gone"));
+        assert_eq!(cut, Err("gone"));
+        assert_eq!(hostile.capacity(), BODY_GROWTH_STEP);
+
+        // A shorter frame reuses the storage: same allocation, no growth.
+        let before = (buf.as_ptr(), buf.capacity());
+        let short = read_body(&mut buf, 33, |chunk| {
+            chunk.fill(0xCD);
+            Ok::<(), ()>(())
+        })
+        .expect("fills");
+        assert_eq!(short, [0xCD; 33]);
+        assert_eq!((buf.as_ptr(), buf.capacity()), before);
+    }
 
     #[test]
     fn frames_cross_a_real_socket_and_get_tracked() {
@@ -613,14 +802,13 @@ mod tests {
         let crc = crc32(&bytes);
         let idx = bytes.len() / 2;
         bytes[idx] ^= 0xff;
-        let mut header = [0u8; 21];
-        header[..4].copy_from_slice(b"AFR3");
-        header[4..12].copy_from_slice(&1u64.to_le_bytes());
-        header[12..16].copy_from_slice(&(bytes.len() as u32).to_le_bytes());
-        header[16..20].copy_from_slice(&crc.to_le_bytes());
-        header[20] = 0; // full resolution
-        use std::io::Write as _;
-        sender.stream.write_all(&header).unwrap();
+        let header = FrameHeader {
+            seq: 1,
+            len: bytes.len() as u32,
+            crc,
+            rung: QosRung::FullRes,
+        };
+        sender.stream.write_all(&header.to_bytes()).unwrap();
         sender.stream.write_all(&bytes).unwrap();
         let mut ack = [0u8; 9];
         sender.stream.read_exact(&mut ack).unwrap();
@@ -657,13 +845,13 @@ mod tests {
             .unwrap();
         let mut hello = [0u8; 12];
         stream.read_exact(&mut hello).expect("handshake");
-        let mut header = [0u8; 21];
-        header[..4].copy_from_slice(b"AFR3");
-        header[4..12].copy_from_slice(&1u64.to_le_bytes());
-        header[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
-        header[16..20].copy_from_slice(&0u32.to_le_bytes());
-        header[20] = 0;
-        stream.write_all(&header).unwrap();
+        let header = FrameHeader {
+            seq: 1,
+            len: u32::MAX,
+            crc: 0,
+            rung: QosRung::FullRes,
+        };
+        stream.write_all(&header.to_bytes()).unwrap();
         let mut ack = [0u8; 9];
         stream.read_exact(&mut ack).expect("terminal nack arrives");
         assert_eq!(ack[0], b'!');
@@ -678,11 +866,13 @@ mod tests {
             .unwrap();
         let mut hello = [0u8; 12];
         stream.read_exact(&mut hello).expect("handshake");
-        let mut header = [0u8; 21];
-        header[..4].copy_from_slice(b"AFR3");
-        header[4..12].copy_from_slice(&1u64.to_le_bytes());
-        header[12..16].copy_from_slice(&0u32.to_le_bytes());
-        header[16..20].copy_from_slice(&crc32(&[]).to_le_bytes());
+        let mut header = FrameHeader {
+            seq: 1,
+            len: 0,
+            crc: crc32(&[]),
+            rung: QosRung::FullRes,
+        }
+        .to_bytes();
         header[20] = 9; // no such rung
         stream.write_all(&header).unwrap();
         let mut ack = [0u8; 9];
@@ -871,6 +1061,11 @@ mod tests {
             started.elapsed() < Duration::from_secs(4),
             "bounded by the socket timeout"
         );
+        // The sender sees the socket close a moment before the daemon
+        // thread has finished returning.
+        while !receiver.is_finished() && started.elapsed() < Duration::from_secs(4) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
         assert!(receiver.is_finished(), "kill hook stopped the daemon");
     }
 }

@@ -53,6 +53,14 @@
 //! replacement server can be started at the same ring position with
 //! [`FrameServer::start_resuming`].
 //!
+//! A frame's checksum is a property of its ring entry: [`FrameServer::publish`]
+//! computes it once, on the publisher's thread, and every delivery of
+//! that frame — live, replayed, resumed, to any client — stamps the
+//! stored value. The viewer verifies each body into one receive buffer
+//! per connection, which grows only as far as the bytes that arrive
+//! (see `net_transport::read_body`), so the length in a header is never
+//! trusted with memory.
+//!
 //! Conservation holds at the wire exactly as in the modeled broker:
 //! `frames_delivered + frames_shed == cursor_advance`, checked by the
 //! soak's invariant battery against hundreds of real loopback clients.
@@ -61,7 +69,8 @@ pub mod toxic;
 
 use crate::broker::{Admission, AdmissionGate, BreakerConfig, FrameLog, ShedPolicy};
 use crate::net_transport::{
-    read_exact_deadline, TransportError, ACK_APPLIED, FRAME_MAGIC, HANDSHAKE_MAGIC, MAX_FRAME_BYTES,
+    read_body, read_exact_deadline, FrameHeader, TransportError, ACK_APPLIED, HANDSHAKE_MAGIC,
+    HEADER_BYTES,
 };
 use crate::qos::{self, QosRung};
 use crate::resilience::{crc32, BackoffPolicy};
@@ -87,7 +96,6 @@ const ADMIT_REJECT: u8 = b'!';
 const ADMIT_DRAIN: u8 = b'#';
 
 const HELLO_BYTES: usize = 20;
-const HEADER_BYTES: usize = 21;
 const ACK_BYTES: usize = 9;
 
 /// How long accept/serve loops sleep when idle before re-checking flags.
@@ -165,11 +173,14 @@ impl Default for ServerConfig {
 // Frame store: the broker ring plus retained bodies
 // ---------------------------------------------------------------------------
 
-/// One retained frame: its rung and encoded body, shared by reference so
-/// N clients replaying it cost one allocation.
+/// One retained frame: everything that depends only on its bytes — the
+/// rung, the encoded body and the body's CRC-32 — computed once when it
+/// enters the ring and shared by reference, so N clients replaying it
+/// cost one allocation and one checksum.
 #[derive(Debug, Clone)]
 struct StoredFrame {
     rung: QosRung,
+    crc: u32,
     body: Arc<Vec<u8>>,
 }
 
@@ -193,9 +204,9 @@ impl FrameStore {
         }
     }
 
-    fn publish(&mut self, rung: QosRung, body: Arc<Vec<u8>>) -> u64 {
+    fn publish(&mut self, frame: StoredFrame) -> u64 {
         let seq = self.base + self.log.append();
-        self.bodies.push_back(StoredFrame { rung, body });
+        self.bodies.push_back(frame);
         while self.bodies.len() as u64 > self.log.len() {
             self.bodies.pop_front();
         }
@@ -375,11 +386,23 @@ struct Shared {
     stopped: AtomicBool,
     connected: AtomicU64,
     epoch: Instant,
+    /// Body checksums this server has computed.
+    #[cfg(test)]
+    checksums: AtomicU64,
 }
 
 impl Shared {
     fn now_secs(&self) -> f64 {
         self.epoch.elapsed().as_secs_f64()
+    }
+
+    /// The server side's only checksum: once per frame, as it enters the
+    /// ring. Every delivery — live, replayed, resumed, to any client —
+    /// stamps the stored value.
+    fn checksum(&self, body: &[u8]) -> u32 {
+        #[cfg(test)]
+        self.checksums.fetch_add(1, Ordering::SeqCst);
+        crc32(body)
     }
 
     /// Record a breaker failure for `id`, bumping the quarantine counter
@@ -458,6 +481,8 @@ impl FrameServer {
             stopped: AtomicBool::new(false),
             connected: AtomicU64::new(0),
             epoch,
+            #[cfg(test)]
+            checksums: AtomicU64::new(0),
             cfg,
         });
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -489,13 +514,17 @@ impl FrameServer {
     }
 
     /// Publish one frame into the ring; returns its ring sequence.
+    ///
+    /// The body is checksummed here, once, on the caller's thread and
+    /// before the store lock is taken, so serving threads never wait on
+    /// it and never repeat it.
     pub fn publish(&self, rung: QosRung, body: Vec<u8>) -> u64 {
-        let seq = self
-            .shared
-            .store
-            .lock()
-            .expect("store lock")
-            .publish(rung, Arc::new(body));
+        let frame = StoredFrame {
+            rung,
+            crc: self.shared.checksum(&body),
+            body: Arc::new(body),
+        };
+        let seq = self.shared.store.lock().expect("store lock").publish(frame);
         self.shared.frame_cv.notify_all();
         seq
     }
@@ -781,7 +810,7 @@ fn serve_frames(
     let cfg = &shared.cfg;
     loop {
         // --- wait for a frame (or drain) ---------------------------------
-        let frame = {
+        let (frame, is_catchup) = {
             let mut store = shared.store.lock().expect("store lock");
             loop {
                 if shared.stopped.load(Ordering::SeqCst) {
@@ -864,7 +893,9 @@ fn serve_frames(
             }
 
             match store.get(cursor) {
-                Some(f) => f,
+                // Classified under the same acquisition that fetched it:
+                // one store lock per delivered frame.
+                Some(f) => (f, store.head() - cursor > crate::broker::LIVE_LAG_FRAMES),
                 None => {
                     // Evicted while we waited: resume expiry mid-session.
                     let tail = store.tail();
@@ -900,10 +931,6 @@ fn serve_frames(
         }
 
         // --- pace against the shared downlink -----------------------------
-        let is_catchup = {
-            let store = shared.store.lock().expect("store lock");
-            store.head() - cursor > crate::broker::LIVE_LAG_FRAMES
-        };
         let bytes = (HEADER_BYTES + frame.body.len()) as f64;
         let pace_deadline = Instant::now() + cfg.write_deadline;
         loop {
@@ -925,7 +952,7 @@ fn serve_frames(
 
         // --- write the frame, read the ack, both under deadlines ----------
         let wire_seq = cursor + 1;
-        if write_frame(stream, wire_seq, frame.rung, &frame.body).is_err() {
+        if write_frame(stream, wire_seq, &frame).is_err() {
             stall(shared, client_id, my_generation, &mut cursor);
             return;
         }
@@ -992,20 +1019,15 @@ fn write_admission(stream: &mut TcpStream, status: u8, value: u64) -> std::io::R
     stream.write_all(&buf)
 }
 
-fn write_frame(
-    stream: &mut TcpStream,
-    wire_seq: u64,
-    rung: QosRung,
-    body: &[u8],
-) -> std::io::Result<()> {
-    let mut header = [0u8; HEADER_BYTES];
-    header[..4].copy_from_slice(FRAME_MAGIC);
-    header[4..12].copy_from_slice(&wire_seq.to_le_bytes());
-    header[12..16].copy_from_slice(&(body.len() as u32).to_le_bytes());
-    header[16..20].copy_from_slice(&crc32(body).to_le_bytes());
-    header[20] = rung.as_byte();
-    stream.write_all(&header)?;
-    stream.write_all(body)
+fn write_frame(stream: &mut TcpStream, wire_seq: u64, frame: &StoredFrame) -> std::io::Result<()> {
+    let header = FrameHeader {
+        seq: wire_seq,
+        len: frame.body.len() as u32,
+        crc: frame.crc,
+        rung: frame.rung,
+    };
+    stream.write_all(&header.to_bytes())?;
+    stream.write_all(&frame.body)
 }
 
 fn write_control(stream: &mut TcpStream, kind: u8, value: u64) -> std::io::Result<()> {
@@ -1359,7 +1381,8 @@ impl RemoteViewer {
             self.last_applied = value;
         }
 
-        // Frame loop.
+        // Frame loop, over one receive buffer for the whole connection.
+        let mut buf = Vec::new();
         loop {
             if stop.load(Ordering::SeqCst) {
                 return Ok(ConnEnd::Stopped);
@@ -1368,8 +1391,8 @@ impl RemoteViewer {
             if read_exact_deadline(&mut stream, &mut header, self.cfg.io_timeout).is_err() {
                 return Ok(ConnEnd::Interrupted);
             }
-            let value = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
             if &header[..4] == CONTROL_MAGIC {
+                let value = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
                 if header[20] == CONTROL_DRAIN {
                     self.stats.drains += 1;
                     if value > self.last_applied {
@@ -1380,23 +1403,25 @@ impl RemoteViewer {
                 }
                 continue;
             }
-            if &header[..4] != FRAME_MAGIC {
-                return Ok(ConnEnd::Interrupted);
-            }
-            let wire_seq = value;
-            let len = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
-            let crc = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes"));
-            let Some(rung) = QosRung::from_byte(header[20]) else {
+            let Ok(FrameHeader {
+                seq: wire_seq,
+                len,
+                crc,
+                rung,
+            }) = FrameHeader::parse(&header)
+            else {
                 return Ok(ConnEnd::Interrupted);
             };
-            if len > MAX_FRAME_BYTES {
+            // One deadline over the whole body, however many steps the
+            // buffer grows in.
+            let t0 = Instant::now();
+            let Ok(body) = read_body(&mut buf, len as usize, |chunk| {
+                let remaining = self.cfg.io_timeout.saturating_sub(t0.elapsed());
+                read_exact_deadline(&mut stream, chunk, remaining)
+            }) else {
                 return Ok(ConnEnd::Interrupted);
-            }
-            let mut body = vec![0u8; len as usize];
-            if read_exact_deadline(&mut stream, &mut body, self.cfg.io_timeout).is_err() {
-                return Ok(ConnEnd::Interrupted);
-            }
-            if crc32(&body) != crc {
+            };
+            if crc32(body) != crc {
                 // Torn mid-stream by a fault: drop the connection and
                 // resume from the watermark rather than apply garbage.
                 return Ok(ConnEnd::Interrupted);
@@ -1407,7 +1432,7 @@ impl RemoteViewer {
                 if wire_seq > self.last_applied + 1 {
                     self.stats.shed += wire_seq - 1 - self.last_applied;
                 }
-                if qos::apply_body(&mut self.track, rung, &body) {
+                if qos::apply_body(&mut self.track, rung, body) {
                     self.stats.delivered += 1;
                     self.applied_seqs.push(wire_seq);
                 } else {
@@ -1536,6 +1561,60 @@ mod tests {
         assert_eq!(c.frames_delivered + c.frames_shed, c.cursor_advance);
         assert_eq!(c.frames_delivered, 30);
         assert_eq!(c.frames_shed, 0);
+    }
+
+    #[test]
+    fn a_frame_is_checksummed_once_however_many_clients_and_replays_it_serves() {
+        const FRAMES: u64 = 24;
+        let server = FrameServer::start(quick_cfg()).expect("bind");
+        let addr = server.addr().expect("remote mode");
+        let shared = Arc::clone(&server.shared);
+        let stop = Arc::new(AtomicBool::new(false));
+        let spawn_viewer = |id: u64| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut viewer = RemoteViewer::new(addr, ViewerConfig::loopback(id, 40 + id));
+                let end = viewer.run(&stop);
+                (viewer, end)
+            })
+        };
+        // Two clients on the live tail...
+        let mut viewers = vec![spawn_viewer(1), spawn_viewer(2)];
+        let t0 = Instant::now();
+        while server.connected() < 2 && t0.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        for i in 0..FRAMES {
+            server.publish(QosRung::TrackOnly, fix_body(i));
+        }
+        // ...and a third whose session still sits at ring sequence 0 when it
+        // connects: the whole stream is replayed to it from the ring.
+        shared
+            .sessions
+            .lock()
+            .expect("sessions lock")
+            .insert(3, Session::new(0));
+        viewers.push(spawn_viewer(3));
+        let t0 = Instant::now();
+        while server.counters().frames_delivered < 3 * FRAMES
+            && t0.elapsed() < Duration::from_secs(5)
+        {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let report = server.drain();
+        for v in viewers {
+            let (viewer, end) = v.join().expect("viewer");
+            assert_eq!(end, ViewerEnd::Drained);
+            assert_eq!(viewer.stats().delivered, FRAMES, "CRC verified, applied");
+        }
+        assert_eq!(report.counters.frames_delivered, 3 * FRAMES);
+        assert_eq!(report.counters.frames_shed, 0);
+        assert_eq!(
+            shared.checksums.load(Ordering::SeqCst),
+            FRAMES,
+            "server-side checksums for {FRAMES} publishes and {} deliveries",
+            3 * FRAMES
+        );
     }
 
     #[test]
