@@ -37,12 +37,11 @@ pub mod loadgen;
 
 use crate::engine::FrameTransport;
 use crate::fault::SplitMix64;
-use crate::qos::{QosConfig, QosController, QosRung, QosSignals};
+use crate::qos::{QosConfig, QosLadder, QosRung, QosSignals};
 use crate::resilience::BackoffPolicy;
 use des::{Scheduler, Series, SeriesSet, SimTime};
 use resources::SharedLink;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// A client within this many frames of the head is "live" (served from
@@ -259,6 +258,37 @@ impl Default for BreakerConfig {
     }
 }
 
+impl BreakerConfig {
+    /// Record one failure at `now` (non-decreasing across calls) in a
+    /// client's sliding window; true if the breaker trips.
+    ///
+    /// The window is `slots[..*len]`, oldest first, in storage the caller
+    /// owns (at least one slot). `trip_after` slots are all it ever needs:
+    /// when that many failures lie inside `window_secs`, the newest that
+    /// many do, so an older one can be dropped as soon as the slots are
+    /// full. Both serving tiers keep their histories this way: the modeled
+    /// broker as a stride of one flat table, the socket server as a vector
+    /// per session that stops growing at `trip_after` entries.
+    pub(crate) fn record_failure(&self, slots: &mut [f64], len: &mut u32, now: f64) -> bool {
+        debug_assert!(!slots.is_empty(), "a breaker window needs a slot");
+        let mut n = *len as usize;
+        if n == slots.len() {
+            slots.copy_within(1.., 0);
+            n -= 1;
+        }
+        slots[n] = now;
+        n += 1;
+        let expired = slots[..n]
+            .iter()
+            .take_while(|&&t0| now - t0 > self.window_secs)
+            .count();
+        slots.copy_within(expired..n, 0);
+        n -= expired;
+        *len = n as u32;
+        n >= self.trip_after as usize
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Load scenario
 // ---------------------------------------------------------------------------
@@ -405,6 +435,33 @@ impl BrokerConfig {
             self.catchup_burst_frames > 0,
             "catch-up pacing must allow at least one frame per tick"
         );
+        assert!(
+            self.breaker.trip_after > 0,
+            "breaker trip_after must be positive"
+        );
+        assert!(
+            self.breaker.window_secs >= 0.0 && self.breaker.window_secs.is_finite(),
+            "breaker window must be non-negative and finite, got {}",
+            self.breaker.window_secs
+        );
+        self.qos.validate();
+        // Every client owns `trip_after` slots of one flat breaker table.
+        let fleet =
+            self.scenario
+                .events
+                .iter()
+                .try_fold(0u64, |sum, (_, ev)| match *ev {
+                    LoadEvent::ArrivalRamp { clients, .. }
+                    | LoadEvent::FlapSquad { clients, .. } => sum.checked_add(clients),
+                    LoadEvent::MassDisconnect { .. } | LoadEvent::LinkSag { .. } => Some(sum),
+                });
+        let slots = fleet
+            .and_then(|n| n.checked_mul(self.breaker.trip_after.into()))
+            .and_then(|n| usize::try_from(n).ok());
+        assert!(
+            slots.is_some(),
+            "breaker table (clients × trip_after) overflows usize"
+        );
         for &(at, ref ev) in &self.scenario.events {
             assert!(
                 at.is_finite() && at >= 0.0,
@@ -523,18 +580,24 @@ enum Phase {
     Quarantined,
 }
 
+/// One modeled viewer. 10^5 of these are the broker's resident memory, so
+/// a client is plain inline data — no heap pointer, nothing that is the
+/// same for every client: the QoS policy is the one [`BrokerConfig::qos`]
+/// and the breaker history is this client's stride of
+/// [`World::breaker_slots`].
 struct Client {
     phase: Phase,
     /// Next frame sequence this client needs.
     cursor: u64,
-    qos: QosController,
+    qos: QosLadder,
     /// Pinned to track-only by [`ShedPolicy::DemoteToTrackOnly`].
     pinned: bool,
     ever_admitted: bool,
     /// Reconnect attempt counter (jitter input; reset on admission).
     attempt: u32,
-    /// Breaker failure timestamps within the window.
-    failures: VecDeque<f64>,
+    /// Breaker failures within the window (live entries of this client's
+    /// slots).
+    failures: u32,
     /// When the current admission wait started.
     waiting_since: Option<f64>,
     /// Part of an in-progress mass-disconnect recovery cohort.
@@ -546,35 +609,24 @@ struct Client {
     tick_served: u64,
 }
 
+const _: () = assert!(std::mem::size_of::<Client>() <= 112);
+
 impl Client {
-    fn new(qos: QosConfig) -> Self {
+    fn new(flap_period: Option<f64>) -> Self {
         Self {
             phase: Phase::Offline,
             cursor: 0,
-            qos: QosController::new(qos),
+            qos: QosLadder::new(),
             pinned: false,
             ever_admitted: false,
             attempt: 0,
-            failures: VecDeque::new(),
+            failures: 0,
             waiting_since: None,
             in_recovery: false,
-            flap_period: None,
+            flap_period,
             tick_wanted: 0,
             tick_served: 0,
         }
-    }
-
-    /// Record one breaker failure; true if the breaker trips.
-    fn record_failure(&mut self, now: f64, breaker: &BreakerConfig) -> bool {
-        self.failures.push_back(now);
-        while let Some(&t0) = self.failures.front() {
-            if now - t0 > breaker.window_secs {
-                self.failures.pop_front();
-            } else {
-                break;
-            }
-        }
-        self.failures.len() >= breaker.trip_after as usize
     }
 }
 
@@ -594,6 +646,9 @@ struct World {
     log: FrameLog,
     gate: AdmissionGate,
     clients: Vec<Client>,
+    /// Breaker failure timestamps, `cfg.breaker.trip_after` slots per
+    /// client: client `id` owns `[id × trip_after, (id + 1) × trip_after)`.
+    breaker_slots: Vec<f64>,
     /// Maintained incrementally — an O(clients) scan per admission would
     /// make a 10^5-client reconnect storm quadratic.
     connected_count: u64,
@@ -632,6 +687,16 @@ impl World {
         self.recovery_open -= 1;
     }
 
+    /// Record one breaker failure for `id`; true if the breaker trips.
+    fn breaker_trips(&mut self, id: usize, now: f64) -> bool {
+        let stride = self.cfg.breaker.trip_after as usize;
+        self.cfg.breaker.record_failure(
+            &mut self.breaker_slots[id * stride..(id + 1) * stride],
+            &mut self.clients[id].failures,
+            now,
+        )
+    }
+
     fn spawn_clients(
         &mut self,
         count: u64,
@@ -640,11 +705,21 @@ impl World {
         now: f64,
         sched: &mut Scheduler<Ev>,
     ) {
+        // Both tables grow to exactly what the fleet needs: a doubling
+        // `Vec` would copy 10^5 clients several times over and leave up to
+        // half the final capacity unused.
+        let fleet = self.clients.len() + count as usize;
+        let slots = fleet * self.cfg.breaker.trip_after as usize;
+        self.clients.reserve_exact(count as usize);
+        // A "never trip" `trip_after` of `u32::MAX` is a 34 GB stride:
+        // refuse it by name instead of aborting inside the allocator.
+        self.breaker_slots
+            .try_reserve_exact(slots - self.breaker_slots.len())
+            .unwrap_or_else(|e| panic!("breaker table of {slots} slots for {fleet} clients: {e}"));
+        self.breaker_slots.resize(slots, 0.0);
         for i in 0..count {
             let id = self.clients.len();
-            let mut c = Client::new(self.cfg.qos.clone());
-            c.flap_period = flap_period;
-            self.clients.push(c);
+            self.clients.push(Client::new(flap_period));
             self.counters.clients_total += 1;
             let spread = if count > 1 {
                 over_secs * i as f64 / count as f64
@@ -661,7 +736,7 @@ fn frame_cost(c: &Client, frame_bytes: u64) -> f64 {
     let rung = if c.pinned {
         QosRung::TrackOnly
     } else {
-        c.qos.rung()
+        c.qos.rung
     };
     frame_bytes as f64 * rung.byte_factor()
 }
@@ -710,11 +785,7 @@ fn drop_session(w: &mut World, id: usize, now: f64, sched: &mut Scheduler<Ev>, e
     debug_assert_eq!(w.clients[id].phase, Phase::Connected);
     w.clients[id].phase = Phase::Offline;
     w.connected_count -= 1;
-    let tripped = {
-        let breaker = w.cfg.breaker;
-        w.clients[id].record_failure(now, &breaker)
-    };
-    if tripped {
+    if w.breaker_trips(id, now) {
         w.quarantine(id);
         return;
     }
@@ -760,8 +831,7 @@ fn handle_admit(w: &mut World, id: usize, now: f64, sched: &mut Scheduler<Ev>) {
                     w.counters.frames_shed += gap;
                     w.counters.cursor_advance += gap;
                     w.clients[id].cursor = w.log.tail();
-                    let breaker = w.cfg.breaker;
-                    if w.clients[id].record_failure(now, &breaker) {
+                    if w.breaker_trips(id, now) {
                         w.quarantine(id);
                         return;
                     }
@@ -960,7 +1030,7 @@ fn handle_tick(w: &mut World, now: f64, sched: &mut Scheduler<Ev>) {
             free_disk_pct: 100.0,
             deadline_slack: 10.0,
         };
-        c.qos.observe(&sig);
+        c.qos.observe(&w.cfg.qos, &sig);
         if production_live {
             // Frame s is produced at (s + 1) × interval, so a client
             // whose cursor sits at the head is exactly current.
@@ -982,7 +1052,7 @@ fn handle_tick(w: &mut World, now: f64, sched: &mut Scheduler<Ev>) {
         }
     }
     if production_live && !w.stale_buf.is_empty() {
-        let p99 = crate::metrics::percentile(w.stale_buf.iter().copied(), 99.0);
+        let p99 = crate::metrics::percentile_in_place(&mut w.stale_buf, 99.0);
         w.p99_staleness = w.p99_staleness.max(p99);
         w.staleness_series.record(SimTime::from_secs(now), p99);
     }
@@ -1026,6 +1096,7 @@ pub fn run_broker(cfg: BrokerConfig) -> BrokerOutcome {
         log: FrameLog::new(cfg.frame_bytes, cfg.retention_frames),
         gate: AdmissionGate::new(cfg.admission_rate_per_sec, cfg.admission_burst),
         clients: Vec::new(),
+        breaker_slots: Vec::new(),
         connected_count: 0,
         counters: BrokerCounters::default(),
         live_bytes: 0.0,
@@ -1074,9 +1145,9 @@ pub fn run_broker(cfg: BrokerConfig) -> BrokerOutcome {
         .iter()
         .all(|c| c.phase != Phase::Connected || head - c.cursor <= LIVE_LAG_FRAMES);
     for c in &world.clients {
-        world.counters.demotions += c.qos.demotions();
-        world.counters.promotions += c.qos.promotions();
-        world.counters.deepest_rung = world.counters.deepest_rung.max(c.qos.deepest().as_byte());
+        world.counters.demotions += c.qos.demotions;
+        world.counters.promotions += c.qos.promotions;
+        world.counters.deepest_rung = world.counters.deepest_rung.max(c.qos.deepest.as_byte());
     }
     let mut series = SeriesSet::new();
     series.push(world.connected_series);
@@ -1157,6 +1228,8 @@ impl<T: FrameTransport> FrameTransport for BrokerTransport<T> {
 mod tests {
     use super::*;
     use crate::engine::ModeledTransport;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     #[test]
     fn frame_log_ring_semantics() {
@@ -1380,6 +1453,101 @@ mod tests {
         let mut cfg = BrokerConfig::new(0, loadgen::steady_ramp(1));
         cfg.catchup_share = 1.5;
         run_broker(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "hysteresis requires")]
+    fn config_rejects_a_ladder_without_hysteresis() {
+        let mut cfg = BrokerConfig::new(0, loadgen::steady_ramp(1));
+        cfg.qos.promote_at[0] = cfg.qos.demote_at[0];
+        run_broker(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "trip_after must be positive")]
+    fn config_rejects_a_breaker_that_trips_on_nothing() {
+        let mut cfg = BrokerConfig::new(0, loadgen::steady_ramp(1));
+        cfg.breaker.trip_after = 0;
+        run_broker(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "breaker window must be non-negative and finite")]
+    fn config_rejects_a_negative_breaker_window() {
+        let mut cfg = BrokerConfig::new(0, loadgen::steady_ramp(1));
+        cfg.breaker.window_secs = -1.0;
+        run_broker(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "breaker window must be non-negative and finite")]
+    fn config_rejects_a_nan_breaker_window() {
+        let mut cfg = BrokerConfig::new(0, loadgen::steady_ramp(1));
+        cfg.breaker.window_secs = f64::NAN;
+        run_broker(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn config_rejects_a_fleet_whose_breaker_table_cannot_be_indexed() {
+        let scenario = loadgen::steady_ramp(u64::MAX / 2).then(
+            0.0,
+            LoadEvent::FlapSquad {
+                clients: 2,
+                period_secs: 45.0,
+            },
+        );
+        run_broker(BrokerConfig::new(0, scenario));
+    }
+
+    /// The sliding window as both tiers used to keep it: an unbounded
+    /// deque per client.
+    fn record_failure_oracle(
+        history: &mut VecDeque<f64>,
+        now: f64,
+        breaker: &BreakerConfig,
+    ) -> bool {
+        history.push_back(now);
+        while let Some(&t0) = history.front() {
+            if now - t0 > breaker.window_secs {
+                history.pop_front();
+            } else {
+                break;
+            }
+        }
+        history.len() >= breaker.trip_after as usize
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whole-second gaps and windows, so entries routinely sit exactly
+        /// on the `now - t0 == window_secs` edge (kept, not expired).
+        #[test]
+        fn trip_after_slots_decide_as_the_unbounded_history_did(
+            trip_after in 1u32..=8,
+            window_secs in prop_oneof![Just(0.0), (1u32..40).prop_map(f64::from), Just(1e9)],
+            gaps in prop::collection::vec(
+                prop_oneof![Just(0.0), (0u32..12).prop_map(f64::from), 0.0f64..50.0],
+                1..80,
+            ),
+        ) {
+            let breaker = BreakerConfig { trip_after, window_secs };
+            let mut history = VecDeque::new();
+            let mut slots = vec![0.0; trip_after as usize];
+            let mut len = 0u32;
+            let mut now = 0.0;
+            for gap in gaps {
+                now += gap;
+                let want = record_failure_oracle(&mut history, now, &breaker);
+                prop_assert_eq!(breaker.record_failure(&mut slots, &mut len, now), want);
+                // The slots are the newest entries of the full history.
+                let kept = history.len().min(trip_after as usize);
+                prop_assert_eq!(len as usize, kept);
+                let newest: Vec<f64> = history.iter().skip(history.len() - kept).copied().collect();
+                prop_assert_eq!(&slots[..kept], &newest[..]);
+            }
+        }
     }
 
     #[test]

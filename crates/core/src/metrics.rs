@@ -40,8 +40,24 @@ pub fn peak_storage_used_pct(out: &RunOutcome) -> f64 {
 /// frame staleness a broker load sweep reports. NaNs are ignored; an
 /// empty (or all-NaN) sample yields 0.
 pub fn percentile(values: impl Iterator<Item = f64>, p: f64) -> f64 {
+    let mut vals: Vec<f64> = values.collect();
+    percentile_in_place(&mut vals, p)
+}
+
+/// [`percentile`] of a buffer the caller can spare: selects inside
+/// `vals` (reordering it) instead of collecting a copy, which is what a
+/// per-tick caller with 10^5 samples in a scratch buffer wants.
+pub(crate) fn percentile_in_place(vals: &mut [f64], p: f64) -> f64 {
     assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
-    let mut vals: Vec<f64> = values.filter(|v| !v.is_nan()).collect();
+    // Compact the non-NaN values to the front.
+    let mut n = 0;
+    for i in 0..vals.len() {
+        if !vals[i].is_nan() {
+            vals.swap(n, i);
+            n += 1;
+        }
+    }
+    let vals = &mut vals[..n];
     if vals.is_empty() {
         return 0.0;
     }
@@ -152,6 +168,42 @@ mod tests {
         assert_eq!(percentile(sample.clone(), 100.0), 100.0);
         // Order independence.
         assert_eq!(percentile([3.0, 1.0, 2.0].into_iter(), 50.0), 2.0);
+    }
+
+    #[test]
+    fn percentile_in_place_agrees_with_percentile() {
+        let mut rng = crate::fault::SplitMix64::new(0x9e99);
+        for case in 0..200 {
+            // Few distinct values, so duplicates straddle the rank; NaNs
+            // anywhere, including everywhere.
+            let len = (rng.next_u64() % 40) as usize;
+            let sample: Vec<f64> = (0..len)
+                .map(|_| {
+                    if case % 10 == 9 || rng.unit_f64() < 0.125 {
+                        f64::NAN
+                    } else {
+                        (rng.next_u64() % 12) as f64 * 0.5 - 1.0
+                    }
+                })
+                .collect();
+            let mut sorted: Vec<f64> = sample.iter().copied().filter(|v| !v.is_nan()).collect();
+            sorted.sort_by(f64::total_cmp);
+            for p in [0.0, 1.0, 50.0, 99.0, 100.0, rng.unit_f64() * 100.0] {
+                let want = match sorted.len() {
+                    0 => 0.0,
+                    n => sorted[((p / 100.0 * n as f64).ceil() as usize).clamp(1, n) - 1],
+                };
+                let mut scratch = sample.clone();
+                assert_eq!(percentile_in_place(&mut scratch, p), want);
+                assert_eq!(percentile(sample.iter().copied(), p), want);
+                // The buffer is reordered, never rewritten.
+                let mut after: Vec<u64> = scratch.iter().map(|v| v.to_bits()).collect();
+                let mut before: Vec<u64> = sample.iter().map(|v| v.to_bits()).collect();
+                after.sort_unstable();
+                before.sort_unstable();
+                assert_eq!(after, before);
+            }
+        }
     }
 
     #[test]

@@ -148,6 +148,10 @@ impl QosSignals {
 /// `promote_at[r] < demote_at[r]` (validated by
 /// [`QosController::new`]) is what makes the ladder monotone under
 /// monotone pressure and flap-proof in between.
+///
+/// This is the *policy*: shared, read-only, checked once. What moves is a
+/// ladder's own small state, which a [`QosController`] pairs with one
+/// config and the modeled broker holds 10^5 of against a single config.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QosConfig {
     /// Demotion thresholds, one per descent edge (rung r → r+1).
@@ -181,20 +185,115 @@ impl Default for QosConfig {
     }
 }
 
-/// The closed-loop degradation controller. Volatile: a recovered
+impl QosConfig {
+    /// Panics when the configuration violates the hysteresis invariant
+    /// (`promote_at[r] < demote_at[r]` for every edge, thresholds within
+    /// `(0, 1]`, dwells ≥ 1). A policy is checked once, however many
+    /// ladders run under it.
+    pub(crate) fn validate(&self) {
+        for r in 0..4 {
+            assert!(
+                self.promote_at[r] < self.demote_at[r],
+                "hysteresis requires promote_at[{r}] < demote_at[{r}]"
+            );
+            assert!(
+                self.demote_at[r] > 0.0 && self.demote_at[r] <= 1.0,
+                "demote_at[{r}] must lie in (0, 1]"
+            );
+            assert!(
+                self.promote_at[r] >= 0.0,
+                "promote_at[{r}] must be non-negative"
+            );
+        }
+        assert!(self.demote_dwell >= 1, "demote dwell must be at least 1");
+        assert!(self.promote_dwell >= 1, "promote dwell must be at least 1");
+        assert!(self.lag_scale_frames > 0.0, "lag scale must be positive");
+        assert!(self.disk_low_pct > 0.0, "disk threshold must be positive");
+    }
+
+    /// See [`QosController::pressure`].
+    fn pressure(&self, s: &QosSignals) -> f64 {
+        let bw = (1.0 - s.bandwidth_frac).clamp(0.0, 1.0);
+        let lag = (s.receiver_lag_frames as f64 / self.lag_scale_frames).clamp(0.0, 1.0);
+        let disk = (1.0 - s.free_disk_pct / self.disk_low_pct).clamp(0.0, 1.0);
+        let slack = (1.0 - s.deadline_slack).clamp(0.0, 1.0);
+        bw.max(lag).max(disk).max(slack)
+    }
+}
+
+/// See [`QosController::recovery_pressure`].
+fn recovery_pressure(s: &QosSignals) -> f64 {
+    let bw = (1.0 - s.bandwidth_frac).clamp(0.0, 1.0);
+    let slack = (1.0 - s.deadline_slack).clamp(0.0, 1.0);
+    bw.max(slack)
+}
+
+/// One ladder's state: everything a [`QosController`] holds that is not
+/// policy. `Copy` and pointer-free, so the modeled broker
+/// ([`crate::broker`]) keeps one inline per viewer and all 10^5 of them
+/// read a single shared [`QosConfig`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QosLadder {
+    pub(crate) rung: QosRung,
+    pub(crate) deepest: QosRung,
+    above: u32,
+    below: u32,
+    last_pressure: f64,
+    pub(crate) demotions: u64,
+    pub(crate) promotions: u64,
+}
+
+impl QosLadder {
+    /// A ladder at full fidelity.
+    pub(crate) fn new() -> Self {
+        QosLadder {
+            rung: QosRung::FullRes,
+            deepest: QosRung::FullRes,
+            above: 0,
+            below: 0,
+            last_pressure: 0.0,
+            demotions: 0,
+            promotions: 0,
+        }
+    }
+
+    /// One epoch tick under `cfg` (which the caller has
+    /// [validated](QosConfig::validate)): fold the signals, update the
+    /// dwell windows, move at most one rung, and return the rung now in
+    /// force.
+    pub(crate) fn observe(&mut self, cfg: &QosConfig, s: &QosSignals) -> QosRung {
+        let p = cfg.pressure(s);
+        self.last_pressure = p;
+        let r = self.rung.as_byte() as usize;
+        let wants_down = r < 4 && p >= cfg.demote_at[r];
+        let wants_up = r > 0 && recovery_pressure(s) <= cfg.promote_at[r - 1];
+        self.above = if wants_down { self.above + 1 } else { 0 };
+        self.below = if wants_up { self.below + 1 } else { 0 };
+        if wants_down && self.above >= cfg.demote_dwell {
+            self.rung = self.rung.down();
+            self.demotions += 1;
+            self.above = 0;
+            self.below = 0;
+        } else if wants_up && self.below >= cfg.promote_dwell {
+            self.rung = self.rung.up();
+            self.promotions += 1;
+            self.above = 0;
+            self.below = 0;
+        }
+        self.deepest = self.deepest.max(self.rung);
+        self.rung
+    }
+}
+
+/// The closed-loop degradation controller: one policy ([`QosConfig`])
+/// and one ladder walking under it. Volatile: a recovered
 /// incarnation restarts at [`QosRung::FullRes`] and re-derives its rung
 /// from fresh observations (the signals it watches are themselves
 /// rebuilt from the durable ledger).
 #[derive(Debug, Clone)]
 pub struct QosController {
     cfg: QosConfig,
-    rung: QosRung,
-    above: u32,
-    below: u32,
-    last_pressure: f64,
-    demotions: u64,
-    promotions: u64,
-    deepest: QosRung,
+    ladder: QosLadder,
 }
 
 impl QosController {
@@ -202,59 +301,36 @@ impl QosController {
     /// violates the hysteresis invariant (`promote_at[r] < demote_at[r]`
     /// for every edge, thresholds within `(0, 1]`, dwells ≥ 1).
     pub fn new(cfg: QosConfig) -> Self {
-        for r in 0..4 {
-            assert!(
-                cfg.promote_at[r] < cfg.demote_at[r],
-                "hysteresis requires promote_at[{r}] < demote_at[{r}]"
-            );
-            assert!(
-                cfg.demote_at[r] > 0.0 && cfg.demote_at[r] <= 1.0,
-                "demote_at[{r}] must lie in (0, 1]"
-            );
-            assert!(
-                cfg.promote_at[r] >= 0.0,
-                "promote_at[{r}] must be non-negative"
-            );
-        }
-        assert!(cfg.demote_dwell >= 1, "demote dwell must be at least 1");
-        assert!(cfg.promote_dwell >= 1, "promote dwell must be at least 1");
-        assert!(cfg.lag_scale_frames > 0.0, "lag scale must be positive");
-        assert!(cfg.disk_low_pct > 0.0, "disk threshold must be positive");
+        cfg.validate();
         QosController {
             cfg,
-            rung: QosRung::FullRes,
-            above: 0,
-            below: 0,
-            last_pressure: 0.0,
-            demotions: 0,
-            promotions: 0,
-            deepest: QosRung::FullRes,
+            ladder: QosLadder::new(),
         }
     }
 
     /// Current rung.
     pub fn rung(&self) -> QosRung {
-        self.rung
+        self.ladder.rung
     }
 
     /// Pressure computed by the most recent [`observe`](Self::observe).
     pub fn last_pressure(&self) -> f64 {
-        self.last_pressure
+        self.ladder.last_pressure
     }
 
     /// Deepest rung ever reached.
     pub fn deepest(&self) -> QosRung {
-        self.deepest
+        self.ladder.deepest
     }
 
     /// Demotions performed so far.
     pub fn demotions(&self) -> u64 {
-        self.demotions
+        self.ladder.demotions
     }
 
     /// Promotions performed so far.
     pub fn promotions(&self) -> u64 {
-        self.promotions
+        self.ladder.promotions
     }
 
     /// Fold the four signals into one pressure score in `[0, 1]`.
@@ -264,11 +340,7 @@ impl QosController {
     /// an empty disk), and pressure is monotone in every signal — the
     /// property the ladder-monotonicity invariant rests on.
     pub fn pressure(&self, s: &QosSignals) -> f64 {
-        let bw = (1.0 - s.bandwidth_frac).clamp(0.0, 1.0);
-        let lag = (s.receiver_lag_frames as f64 / self.cfg.lag_scale_frames).clamp(0.0, 1.0);
-        let disk = (1.0 - s.free_disk_pct / self.cfg.disk_low_pct).clamp(0.0, 1.0);
-        let slack = (1.0 - s.deadline_slack).clamp(0.0, 1.0);
-        bw.max(lag).max(disk).max(slack)
+        self.cfg.pressure(s)
     }
 
     /// The pressure that gates *promotion*: only the leading signals
@@ -281,34 +353,13 @@ impl QosController {
     /// drives the ladder down; it just cannot keep it down after the
     /// root cause has cleared.
     pub fn recovery_pressure(&self, s: &QosSignals) -> f64 {
-        let bw = (1.0 - s.bandwidth_frac).clamp(0.0, 1.0);
-        let slack = (1.0 - s.deadline_slack).clamp(0.0, 1.0);
-        bw.max(slack)
+        recovery_pressure(s)
     }
 
     /// One epoch tick: fold the signals, update the dwell windows, move
     /// at most one rung, and return the rung now in force.
     pub fn observe(&mut self, s: &QosSignals) -> QosRung {
-        let p = self.pressure(s);
-        self.last_pressure = p;
-        let r = self.rung.as_byte() as usize;
-        let wants_down = r < 4 && p >= self.cfg.demote_at[r];
-        let wants_up = r > 0 && self.recovery_pressure(s) <= self.cfg.promote_at[r - 1];
-        self.above = if wants_down { self.above + 1 } else { 0 };
-        self.below = if wants_up { self.below + 1 } else { 0 };
-        if wants_down && self.above >= self.cfg.demote_dwell {
-            self.rung = self.rung.down();
-            self.demotions += 1;
-            self.above = 0;
-            self.below = 0;
-        } else if wants_up && self.below >= self.cfg.promote_dwell {
-            self.rung = self.rung.up();
-            self.promotions += 1;
-            self.above = 0;
-            self.below = 0;
-        }
-        self.deepest = self.deepest.max(self.rung);
-        self.rung
+        self.ladder.observe(&self.cfg, s)
     }
 }
 

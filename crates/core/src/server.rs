@@ -278,8 +278,9 @@ struct Session {
     cursor: u64,
     /// Pinned to track-only frames by `DemoteToTrackOnly`.
     pinned: bool,
-    /// Breaker failure timestamps (seconds since server start).
-    failures: VecDeque<f64>,
+    /// Breaker failure timestamps inside the window (seconds since
+    /// server start), oldest first; never more than `trip_after` of them.
+    failures: Vec<f64>,
     /// Tripped breaker: refuse this id for the rest of the run.
     quarantined: bool,
     /// Bumped on every admission; a serving thread observing a newer
@@ -294,28 +295,29 @@ impl Session {
         Self {
             cursor,
             pinned: false,
-            failures: VecDeque::new(),
+            failures: Vec::new(),
             quarantined: false,
             generation: 0,
             connected: false,
         }
     }
 
-    /// Record one breaker failure; returns true when the breaker trips.
-    fn record_failure(&mut self, now: f64, cfg: &BreakerConfig) -> bool {
-        self.failures.push_back(now);
-        while let Some(&t) = self.failures.front() {
-            if now - t > cfg.window_secs {
-                self.failures.pop_front();
-            } else {
-                break;
-            }
+    /// Record one breaker failure; returns true when the breaker trips
+    /// (once: a quarantined session stays quarantined).
+    fn note_failure(&mut self, now: f64, cfg: &BreakerConfig) -> bool {
+        // One spare slot for this failure, unless the history already holds
+        // the `trip_after` newest (then the oldest makes room). Grown per
+        // failure, not sized to `trip_after`: "never trip" is spelled
+        // `u32::MAX`.
+        let mut len = self.failures.len() as u32;
+        if len < cfg.trip_after.max(1) {
+            self.failures.push(0.0);
         }
-        if !self.quarantined && self.failures.len() >= cfg.trip_after as usize {
-            self.quarantined = true;
-            return true;
-        }
-        false
+        let over = cfg.record_failure(&mut self.failures, &mut len, now);
+        self.failures.truncate(len as usize);
+        let trips = over && !self.quarantined;
+        self.quarantined |= over;
+        trips
     }
 }
 
@@ -411,7 +413,7 @@ impl Shared {
         let now = self.now_secs();
         let mut sessions = self.sessions.lock().expect("sessions lock");
         if let Some(s) = sessions.get_mut(&id) {
-            if s.record_failure(now, &self.cfg.breaker) {
+            if s.note_failure(now, &self.cfg.breaker) {
                 self.counters
                     .lock()
                     .expect("counters lock")
@@ -745,7 +747,7 @@ fn serve_connection(mut stream: TcpStream, shared: Arc<Shared>) {
             session.cursor = tail;
             drop(counters);
             let now = shared.now_secs();
-            if session.record_failure(now, &shared.cfg.breaker) {
+            if session.note_failure(now, &shared.cfg.breaker) {
                 shared
                     .counters
                     .lock()
@@ -1485,6 +1487,36 @@ mod tests {
             ack_deadline: Duration::from_millis(500),
             ..ServerConfig::default()
         }
+    }
+
+    #[test]
+    fn a_session_trips_once_and_its_history_stays_trip_after_slots() {
+        let breaker = BreakerConfig {
+            trip_after: 3,
+            window_secs: 10.0,
+        };
+        let mut s = Session::new(0);
+        // 0, 1 — then 20 expires both, so the third failure does not trip.
+        let trips: Vec<bool> = [0.0, 1.0, 20.0, 21.0, 22.0, 23.0, 24.0]
+            .iter()
+            .map(|&now| s.note_failure(now, &breaker))
+            .collect();
+        assert_eq!(trips, [false, false, false, false, true, false, false]);
+        assert!(s.quarantined);
+        // A quarantined client that keeps failing inside the window used to
+        // keep growing its history.
+        assert_eq!(s.failures, [22.0, 23.0, 24.0]);
+        // "Never trip" costs a slot per failure inside the window, not
+        // `trip_after` slots.
+        let never = BreakerConfig {
+            trip_after: u32::MAX,
+            window_secs: 1.0,
+        };
+        let mut s = Session::new(0);
+        for now in [0.0, 0.5, 1.0, 5.0] {
+            assert!(!s.note_failure(now, &never));
+        }
+        assert_eq!(s.failures, [5.0]);
     }
 
     #[test]
