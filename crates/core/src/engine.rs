@@ -659,7 +659,7 @@ impl FrameTransport for ChannelTransport {
 
 /// One checkpoint's worth of state, cut by the engine when the
 /// [`Durability`] layer says a checkpoint is due.
-pub struct CheckpointCut {
+pub struct CheckpointCut<'a> {
     /// Simulated minutes at checkpoint time.
     pub sim_minutes: f64,
     /// Next scheduled output, simulated minutes.
@@ -674,8 +674,9 @@ pub struct CheckpointCut {
     pub crashes: u64,
     /// Receiver's applied watermark.
     pub applied_watermark: u64,
-    /// Serialized model state.
-    pub model_bytes: Vec<u8>,
+    /// The model to serialize — borrowed, so the durability layer streams
+    /// it to its file and no copy of the state is cut on the solver thread.
+    pub model: &'a WrfModel,
 }
 
 /// How (and whether) the pipeline persists crash-consistent state.
@@ -699,7 +700,7 @@ pub trait Durability {
     }
 
     /// Write one checkpoint bundle.
-    fn write_checkpoint(&mut self, cut: &CheckpointCut) {
+    fn write_checkpoint(&mut self, cut: &CheckpointCut<'_>) {
         let _ = cut;
     }
 
@@ -760,7 +761,7 @@ impl Durability for JournalDurability {
         sim_minutes + 1e-9 >= self.next_ckpt
     }
 
-    fn write_checkpoint(&mut self, cut: &CheckpointCut) {
+    fn write_checkpoint(&mut self, cut: &CheckpointCut<'_>) {
         let meta = CheckpointMeta {
             sim_minutes: cut.sim_minutes,
             next_output_min: cut.next_output_min,
@@ -771,7 +772,7 @@ impl Durability for JournalDurability {
             applied_watermark: cut.applied_watermark,
         };
         let dir = self.opts.checkpoints_dir();
-        if recovery::write_checkpoint(&dir, self.ckpt_seq, &meta, &cut.model_bytes).is_ok() {
+        if recovery::write_checkpoint(&dir, self.ckpt_seq, &meta, cut.model).is_ok() {
             self.ckpt_seq += 1;
             recovery::prune_checkpoints(&dir, self.opts.keep_checkpoints);
         }
@@ -804,7 +805,7 @@ impl<D: Durability> Durability for Option<D> {
         }
     }
 
-    fn write_checkpoint(&mut self, cut: &CheckpointCut) {
+    fn write_checkpoint(&mut self, cut: &CheckpointCut<'_>) {
         if let Some(d) = self {
             d.write_checkpoint(cut);
         }
@@ -1332,7 +1333,7 @@ impl<T: FrameTransport, D: Durability, F: FaultInjector> World<T, D, F> {
             stalls: self.base_stalls + self.handler.stalls() as u64,
             crashes: self.base_crashes + self.crashes,
             applied_watermark: self.transport.applied_watermark(),
-            model_bytes: self.model.checkpoint(),
+            model: &self.model,
         };
         self.durability.write_checkpoint(&cut);
     }

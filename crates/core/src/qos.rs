@@ -528,7 +528,7 @@ pub fn encode_body(model: &WrfModel, rung: QosRung) -> Vec<u8> {
 /// the buffer's contents).
 fn append_body(model: &WrfModel, rung: QosRung, out: &mut Vec<u8>) {
     match rung {
-        QosRung::FullRes => model.frame().encode_into(out),
+        QosRung::FullRes => model.frame_into(out),
         QosRung::DeltaQuantized => out.extend_from_slice(&codec::encode_quantized(&model.frame())),
         QosRung::Thumbnail => out.extend_from_slice(&codec::encode_quantized(&thumbnail_dataset(
             &model.frame(),

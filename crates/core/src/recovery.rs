@@ -37,7 +37,7 @@ use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use viz::{EyeFix, TrackLog};
-use wrf::checkpoint::{read_snapshot_file, write_snapshot_file};
+use wrf::checkpoint::{read_snapshot_file, write_snapshot_file, write_snapshot_with};
 use wrf::WrfModel;
 
 /// Where and how often the online pipeline persists its state.
@@ -194,21 +194,23 @@ fn checkpoint_seqs(dir: &Path) -> Vec<u64> {
 }
 
 /// Write one checkpoint bundle: `u32 LE meta_len | meta JSON | model
-/// checkpoint bytes` inside the checksummed snapshot container.
-pub(crate) fn write_checkpoint(
+/// checkpoint bytes` inside the checksummed snapshot container, the model
+/// streamed from its grids into the file (no bundle is assembled in
+/// memory).
+pub fn write_checkpoint(
     dir: &Path,
     seq: u64,
     meta: &CheckpointMeta,
-    model_bytes: &[u8],
+    model: &WrfModel,
 ) -> io::Result<()> {
     fs::create_dir_all(dir)?;
     let meta_json = serde_json::to_string(meta)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let mut payload = Vec::with_capacity(4 + meta_json.len() + model_bytes.len());
-    payload.extend_from_slice(&(meta_json.len() as u32).to_le_bytes());
-    payload.extend_from_slice(meta_json.as_bytes());
-    payload.extend_from_slice(model_bytes);
-    write_snapshot_file(&checkpoint_path(dir, seq), &payload)
+    write_snapshot_with(&checkpoint_path(dir, seq), |out| {
+        out.write_all(&(meta_json.len() as u32).to_le_bytes())?;
+        out.write_all(meta_json.as_bytes())?;
+        model.checkpoint_to(out)
+    })
 }
 
 fn parse_checkpoint(payload: &[u8]) -> Option<(CheckpointMeta, WrfModel)> {
@@ -229,7 +231,7 @@ fn parse_checkpoint(payload: &[u8]) -> Option<(CheckpointMeta, WrfModel)> {
 /// Load the newest checkpoint that verifies and parses, walking backwards
 /// past corrupt ones. Returns the bundle, its sequence number, and how
 /// many corrupt files were skipped on the way.
-pub(crate) fn load_newest_checkpoint(dir: &Path) -> Option<(CheckpointMeta, WrfModel, u64, usize)> {
+pub fn load_newest_checkpoint(dir: &Path) -> Option<(CheckpointMeta, WrfModel, u64, usize)> {
     let mut skipped = 0;
     for &seq in checkpoint_seqs(dir).iter().rev() {
         match read_snapshot_file(&checkpoint_path(dir, seq)) {
@@ -306,10 +308,14 @@ pub(crate) fn load_receiver_state(path: &Path) -> Option<(u64, TrackLog)> {
     }
     let f64_at = |off: usize| f64::from_le_bytes(payload[off..off + 8].try_into().unwrap());
     let watermark = u64::from_le_bytes(payload[..8].try_into().unwrap());
-    let n = u64::from_le_bytes(payload[8..16].try_into().unwrap()) as usize;
-    if payload.len() != 16 + n * 32 {
+    let n = u64::from_le_bytes(payload[8..16].try_into().unwrap());
+    // Compared in u64 on the payload's side: a hostile count must not
+    // overflow `16 + n * 32`.
+    let fixes_bytes = payload.len() - 16;
+    if !fixes_bytes.is_multiple_of(32) || (fixes_bytes / 32) as u64 != n {
         return None;
     }
+    let n = n as usize;
     let mut fixes = Vec::with_capacity(n);
     for i in 0..n {
         let off = 16 + i * 32;
@@ -396,15 +402,37 @@ pub(crate) struct DurableBoot {
     pub next_checkpoint_seq: u64,
 }
 
+/// Remove the `*.tmp` files directly under `dir`. Every durable file here
+/// is written as a `.tmp` sibling and renamed into place, so a kill
+/// between the open and the rename orphans up to a whole payload that no
+/// reader ever looks at and no later write reuses (frame and checkpoint
+/// names carry a sequence number).
+fn sweep_orphaned_tmp(dir: &Path) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.extension().is_some_and(|ext| ext == "tmp") {
+            let _ = fs::remove_file(path);
+        }
+    }
+}
+
 /// Prepare the state directory and rebuild whatever a prior incarnation
 /// left behind.
 pub(crate) fn bootstrap(d: &DurabilityOptions, disk_capacity: u64) -> io::Result<DurableBoot> {
     fs::create_dir_all(&d.state_dir)?;
     fs::create_dir_all(d.frames_dir())?;
     fs::create_dir_all(d.checkpoints_dir())?;
+    // Whoever was writing these is dead; nothing below may trip over them.
+    for dir in [d.frames_dir(), d.checkpoints_dir(), d.state_dir.clone()] {
+        sweep_orphaned_tmp(&dir);
+    }
 
-    let prior = read_manifest(d).map(|m| !m.completed).unwrap_or(false);
-    let incarnation = read_manifest(d).map(|m| m.incarnation + 1).unwrap_or(1);
+    let manifest = read_manifest(d);
+    let prior = manifest.as_ref().is_some_and(|m| !m.completed);
+    let incarnation = manifest.map_or(1, |m| m.incarnation + 1);
     write_manifest(
         d,
         &Manifest {
@@ -601,7 +629,7 @@ mod tests {
     fn checkpoint_bundle_roundtrips() {
         let dir = tmpdir("bundle");
         let m = model();
-        write_checkpoint(&dir, 0, &meta(60.0), &m.checkpoint()).unwrap();
+        write_checkpoint(&dir, 0, &meta(60.0), &m).unwrap();
         let (got_meta, got_model, seq, skipped) = load_newest_checkpoint(&dir).unwrap();
         assert_eq!(seq, 0);
         assert_eq!(skipped, 0);
@@ -615,8 +643,8 @@ mod tests {
     fn recovery_falls_back_past_a_corrupt_newest_checkpoint() {
         let dir = tmpdir("fallback");
         let m = model();
-        write_checkpoint(&dir, 0, &meta(30.0), &m.checkpoint()).unwrap();
-        write_checkpoint(&dir, 1, &meta(60.0), &m.checkpoint()).unwrap();
+        write_checkpoint(&dir, 0, &meta(30.0), &m).unwrap();
+        write_checkpoint(&dir, 1, &meta(60.0), &m).unwrap();
         assert!(corrupt_newest_checkpoint(&dir));
         let (got_meta, _, seq, skipped) = load_newest_checkpoint(&dir).unwrap();
         assert_eq!(seq, 0, "fell back to the older checkpoint");
@@ -628,7 +656,7 @@ mod tests {
     fn all_checkpoints_corrupt_means_cold_start() {
         let dir = tmpdir("cold");
         let m = model();
-        write_checkpoint(&dir, 0, &meta(30.0), &m.checkpoint()).unwrap();
+        write_checkpoint(&dir, 0, &meta(30.0), &m).unwrap();
         assert!(corrupt_newest_checkpoint(&dir));
         assert!(load_newest_checkpoint(&dir).is_none());
     }
@@ -638,7 +666,7 @@ mod tests {
         let dir = tmpdir("prune");
         let m = model();
         for seq in 0..5 {
-            write_checkpoint(&dir, seq, &meta(seq as f64 * 10.0), &m.checkpoint()).unwrap();
+            write_checkpoint(&dir, seq, &meta(seq as f64 * 10.0), &m).unwrap();
         }
         prune_checkpoints(&dir, 2);
         assert_eq!(checkpoint_seqs(&dir), vec![3, 4]);
@@ -687,6 +715,57 @@ mod tests {
         let boot2 = bootstrap(&d, 1_000_000).unwrap();
 
         assert_eq!(boot2.journal_replays, 1);
+    }
+
+    #[test]
+    fn orphan_tmp_files_are_swept_before_anything_is_read() {
+        let d = DurabilityOptions::new(tmpdir("orphans"));
+        bootstrap(&d, 1_000_000).unwrap();
+        let m = model();
+        write_checkpoint(&d.checkpoints_dir(), 0, &meta(60.0), &m).unwrap();
+        // A kill right after the placeholder header, one mid-payload, and
+        // their like in every directory the tmp + rename protocol writes.
+        let good = fs::read(checkpoint_path(&d.checkpoints_dir(), 0)).unwrap();
+        let orphans = [
+            (
+                d.checkpoints_dir().join("checkpoint-000001.tmp"),
+                &[0u8; 20][..],
+            ),
+            (
+                d.checkpoints_dir().join("checkpoint-000002.tmp"),
+                &good[..good.len() / 2],
+            ),
+            (d.frames_dir().join("frame-00000007.tmp"), &good[..64]),
+            (d.state_dir.join("receiver.tmp"), &[0u8; 20][..]),
+            (d.state_dir.join("MANIFEST.tmp"), &b"{\"version\":"[..]),
+        ];
+        for (path, bytes) in &orphans {
+            fs::write(path, bytes).unwrap();
+        }
+        let boot = bootstrap(&d, 1_000_000).unwrap();
+        for (path, _) in &orphans {
+            assert!(!path.exists(), "{} survived", path.display());
+        }
+        assert_eq!(boot.model, Some(m), "the good checkpoint loads");
+        assert_eq!(boot.checkpoints_skipped, 0);
+        assert_eq!(boot.next_checkpoint_seq, 1);
+        assert_eq!(checkpoint_seqs(&d.checkpoints_dir()), vec![0]);
+    }
+
+    #[test]
+    fn receiver_state_with_a_hostile_count_is_refused() {
+        let path = tmpdir("receiver-hostile").join("receiver.acp");
+        for n in [1u64, u64::MAX, u64::MAX / 32 + 1, 1 << 59] {
+            // Correctly checksummed, so only the count check stands
+            // between the payload and `16 + n * 32`.
+            let mut payload = 5u64.to_le_bytes().to_vec();
+            payload.extend_from_slice(&n.to_le_bytes());
+            write_snapshot_file(&path, &payload).unwrap();
+            assert!(load_receiver_state(&path).is_none(), "count {n}");
+            payload.extend_from_slice(&[0u8; 31]);
+            write_snapshot_file(&path, &payload).unwrap();
+            assert!(load_receiver_state(&path).is_none(), "count {n}, ragged");
+        }
     }
 
     #[test]

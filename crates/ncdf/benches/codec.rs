@@ -8,11 +8,12 @@
 //!
 //! A second group times the exact format on the largest frame the live
 //! pipeline ships — the 10 km parent grid plus its nest, ≈ 9 MB — the way
-//! the pipeline uses it: encode into a recycled buffer, full owned decode,
-//! and the viewer's borrowed parse that converts `pressure` only.
+//! the pipeline uses it: encode into a recycled buffer (from a `Dataset`,
+//! and streamed from f64 grids with no `Dataset` in between), full owned
+//! decode, and the viewer's borrowed parse that converts `pressure` only.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ncdf::codec::{decode_quantized, encode_quantized};
+use ncdf::codec::{decode_quantized, encode_quantized, ExactWriter};
 use ncdf::{AttrValue, Data, Dataset, DatasetView};
 
 /// A smooth synthetic frame: 2 f64 fields on a `ny`×`nx` grid plus a
@@ -99,6 +100,43 @@ fn bench_frame_10km(c: &mut Criterion) {
         let mut out = Vec::new();
         b.iter(|| {
             ds.encode_into(&mut out);
+            black_box(out.len())
+        })
+    });
+    // The other sink of the same writer: no `Dataset` at all, each f32
+    // record narrowed from an f64 grid as the solver holds it, the mask
+    // made row by row — what `WrfModel::frame_into` does.
+    g.bench_function("exact_stream_into", |b| {
+        let mut head = Dataset::new();
+        for (name, value) in ds.attrs() {
+            head.set_attr(name, value.clone());
+        }
+        let ids: Vec<_> = ds
+            .dims()
+            .map(|d| head.add_dim(d.name.clone(), d.len).unwrap())
+            .collect();
+        // (name, dims, the f64 grid behind an f32 variable — none: the mask)
+        let grids: Vec<_> = ds
+            .vars()
+            .map(|v| {
+                let dims: Vec<_> = v.dims.iter().map(|d| ids[d.index()]).collect();
+                let grid = v.data.as_f32().map(|_| v.data.to_f64_vec());
+                (v.name.as_str(), dims, grid)
+            })
+            .collect();
+        let none = std::collections::BTreeMap::new();
+        let mut out = Vec::new();
+        b.iter(|| {
+            out.clear();
+            let mut w = ExactWriter::new(&mut out, &head, grids.len()).expect("Vec sink");
+            for (name, dims, grid) in &grids {
+                match grid {
+                    Some(xs) => w.var_f32_from(name, dims, &none, xs, |x| x as f32),
+                    None => w.var_u8_rows(name, dims, &none, (557, 645), |_, row| row.fill(1)),
+                }
+                .expect("Vec sink");
+            }
+            w.finish().expect("every record written");
             black_box(out.len())
         })
     });

@@ -1,8 +1,12 @@
 //! Binary encoder/decoder for [`Dataset`].
 //!
-//! The exact encoder writes through `bytes::BufMut` into a caller-owned
-//! `Vec<u8>`, payloads in bulk; decoding uses a bounds-checked cursor (never
-//! panics on truncated input — every read is validated and surfaces
+//! The exact layout has one writer, [`ExactWriter`]: the header once, then
+//! one variable record at a time, payloads in bulk, into any
+//! [`std::io::Write`]. [`Dataset::encode_into`] drives it over the
+//! dataset's own vectors into a caller-owned `Vec<u8>`; a producer whose
+//! data already lies in slices drives it directly and never builds a
+//! `Dataset`. Decoding uses a bounds-checked cursor (never panics on
+//! truncated input — every read is validated and surfaces
 //! [`NcdfError::Truncated`]). The exact decoder itself is
 //! [`DatasetView::parse`].
 
@@ -11,6 +15,7 @@ use crate::view::DatasetView;
 use crate::{AttrValue, DType, Data, NcdfError, MAGIC, VERSION};
 use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::BTreeMap;
+use std::io::{self, Write};
 
 // Attribute wire tags.
 const ATTR_TEXT: u8 = 0;
@@ -28,25 +33,29 @@ impl Dataset {
 
     /// Serialize into `out`, replacing whatever it held. The bytes are
     /// exactly those of [`Dataset::to_bytes`]; a caller that hands the same
-    /// buffer back frame after frame pays no allocation once its capacity
-    /// has reached the frame size.
+    /// buffer back frame after frame pays no frame-sized allocation once
+    /// its capacity has reached the frame size.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
-        out.reserve(self.encoded_size_hint());
-        out.put_slice(MAGIC);
-        out.put_u16_le(VERSION);
-        put_attrs(out, &self.attrs);
-        put_dims(out, &self.dims);
-        out.put_u32_le(self.vars.len() as u32);
+        out.reserve(exact_size_hint(
+            self.payload_bytes() as usize,
+            self.vars.len() + self.dims.len() + self.attrs.len(),
+        ));
+        self.stream_into(out)
+            .expect("a Vec sink cannot fail, and a Dataset's shapes were checked by add_var");
+    }
+
+    fn stream_into(&self, out: &mut Vec<u8>) -> io::Result<()> {
+        let mut w = ExactWriter::new(out, self, self.vars.len())?;
         for v in &self.vars {
-            put_var_header(out, v);
             match &v.data {
-                Data::F32(xs) => put_le(out, xs, f32::to_le_bytes),
-                Data::F64(xs) => put_le(out, xs, f64::to_le_bytes),
-                Data::I32(xs) => put_le(out, xs, i32::to_le_bytes),
-                Data::U8(xs) => out.put_slice(xs),
+                Data::F32(xs) => w.var_f32_from(&v.name, &v.dims, &v.attrs, xs, |x| x)?,
+                Data::F64(xs) => w.var_f64(&v.name, &v.dims, &v.attrs, xs)?,
+                Data::I32(xs) => w.var_i32(&v.name, &v.dims, &v.attrs, xs)?,
+                Data::U8(xs) => w.var_u8(&v.name, &v.dims, &v.attrs, xs)?,
             }
         }
+        w.finish().map(drop)
     }
 
     /// Parse a blob produced by [`Dataset::to_bytes`], validating structure
@@ -54,23 +63,173 @@ impl Dataset {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, NcdfError> {
         Ok(DatasetView::parse(bytes)?.into_dataset())
     }
+}
 
-    /// Rough pre-allocation size for the encoder.
-    fn encoded_size_hint(&self) -> usize {
-        let payload: usize = self
-            .vars
-            .iter()
-            .map(|v| v.data.len() * v.dtype().size())
-            .sum();
-        payload + 1024 + 64 * (self.vars.len() + self.dims.len() + self.attrs.len())
+/// Rough pre-allocation size for an exact blob of `payload_bytes` of
+/// variable data under `records` attributes, dimensions and variables.
+pub fn exact_size_hint(payload_bytes: usize, records: usize) -> usize {
+    payload_bytes + 1024 + 64 * records
+}
+
+/// Streaming writer of the exact (`NCDL`) layout: the header on
+/// construction, then one variable record per call, written straight from
+/// the caller's slice through a per-element map — nothing the size of a
+/// payload is built on the way. What it writes parses: every record's
+/// element count is checked against its dimensions, and
+/// [`finish`](Self::finish) against the declared variable count
+/// (violations are [`io::ErrorKind::InvalidInput`]).
+pub struct ExactWriter<'a, W: Write> {
+    out: W,
+    dims: &'a [Dim],
+    vars_left: usize,
+    /// Each record header is assembled here and written in one piece; a
+    /// row-wise payload borrows it for its row.
+    scratch: Vec<u8>,
+}
+
+impl<'a, W: Write> ExactWriter<'a, W> {
+    /// Write magic, version, `header`'s global attributes and dimensions,
+    /// and the count of the `nvars` variable records that will follow.
+    /// `header`'s own variables, if it has any, are not written.
+    pub fn new(mut out: W, header: &'a Dataset, nvars: usize) -> io::Result<Self> {
+        let mut head = Vec::with_capacity(512);
+        head.put_slice(MAGIC);
+        head.put_u16_le(VERSION);
+        put_attrs(&mut head, &header.attrs);
+        put_dims(&mut head, &header.dims);
+        head.put_u32_le(nvars as u32);
+        out.write_all(&head)?;
+        Ok(ExactWriter {
+            out,
+            dims: &header.dims,
+            vars_left: nvars,
+            scratch: head,
+        })
+    }
+
+    /// An `f32` variable computed from `xs` element by element: the
+    /// identity for data that is `f32` already, a narrowing cast or a
+    /// diagnostic formula for a solver's `f64` grid.
+    pub fn var_f32_from<T: Copy>(
+        &mut self,
+        name: &str,
+        dims: &[DimId],
+        attrs: &BTreeMap<String, AttrValue>,
+        xs: &[T],
+        map: impl Fn(T) -> f32,
+    ) -> io::Result<()> {
+        self.begin_var(name, DType::F32, dims, attrs, xs.len())?;
+        put_le(&mut self.out, xs, |x| map(x).to_le_bytes())
+    }
+
+    /// An `f64` variable, verbatim.
+    pub fn var_f64(
+        &mut self,
+        name: &str,
+        dims: &[DimId],
+        attrs: &BTreeMap<String, AttrValue>,
+        xs: &[f64],
+    ) -> io::Result<()> {
+        self.begin_var(name, DType::F64, dims, attrs, xs.len())?;
+        put_le(&mut self.out, xs, f64::to_le_bytes)
+    }
+
+    /// An `i32` variable, verbatim.
+    pub fn var_i32(
+        &mut self,
+        name: &str,
+        dims: &[DimId],
+        attrs: &BTreeMap<String, AttrValue>,
+        xs: &[i32],
+    ) -> io::Result<()> {
+        self.begin_var(name, DType::I32, dims, attrs, xs.len())?;
+        put_le(&mut self.out, xs, i32::to_le_bytes)
+    }
+
+    /// A byte variable, verbatim.
+    pub fn var_u8(
+        &mut self,
+        name: &str,
+        dims: &[DimId],
+        attrs: &BTreeMap<String, AttrValue>,
+        xs: &[u8],
+    ) -> io::Result<()> {
+        self.begin_var(name, DType::U8, dims, attrs, xs.len())?;
+        self.out.write_all(xs)
+    }
+
+    /// A byte variable of `nrows` rows of `row_len`, each produced by
+    /// `fill(row index, row)` into a zeroed row and written as it is made.
+    pub fn var_u8_rows(
+        &mut self,
+        name: &str,
+        dims: &[DimId],
+        attrs: &BTreeMap<String, AttrValue>,
+        (nrows, row_len): (usize, usize),
+        mut fill: impl FnMut(usize, &mut [u8]),
+    ) -> io::Result<()> {
+        self.begin_var(name, DType::U8, dims, attrs, nrows.saturating_mul(row_len))?;
+        for j in 0..nrows {
+            self.scratch.clear();
+            self.scratch.resize(row_len, 0);
+            fill(j, &mut self.scratch);
+            self.out.write_all(&self.scratch)?;
+        }
+        Ok(())
+    }
+
+    /// Hand the sink back once every declared variable has been written.
+    pub fn finish(self) -> io::Result<W> {
+        if self.vars_left != 0 {
+            return Err(invalid_input(format!(
+                "{} declared variable(s) never written",
+                self.vars_left
+            )));
+        }
+        Ok(self.out)
+    }
+
+    fn begin_var(
+        &mut self,
+        name: &str,
+        dtype: DType,
+        dims: &[DimId],
+        attrs: &BTreeMap<String, AttrValue>,
+        count: usize,
+    ) -> io::Result<()> {
+        if self.vars_left == 0 {
+            return Err(invalid_input(format!(
+                "variable {name} exceeds the declared count"
+            )));
+        }
+        let expected = dims.iter().try_fold(1usize, |n, &DimId(i)| {
+            self.dims.get(i as usize).map(|d| n.saturating_mul(d.len))
+        });
+        if expected != Some(count) {
+            return Err(invalid_input(format!(
+                "variable {name}: {count} elements for dimensions holding {expected:?}"
+            )));
+        }
+        self.vars_left -= 1;
+        self.scratch.clear();
+        put_var_header(&mut self.scratch, name, dtype, dims, attrs, count);
+        self.out.write_all(&self.scratch)
     }
 }
 
-/// Append `xs` as little-endian bytes. Values are converted one stack
-/// chunk at a time and appended with a single `extend_from_slice`, so on a
-/// little-endian host the inner loop compiles to a plain copy instead of a
-/// capacity check per element.
-fn put_le<T: Copy, const N: usize>(out: &mut Vec<u8>, xs: &[T], to_le: impl Fn(T) -> [u8; N]) {
+fn invalid_input(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, msg)
+}
+
+/// Write `xs` as little-endian bytes. Values are converted one stack chunk
+/// at a time and handed over with a single `write_all`, so on a
+/// little-endian host the inner loop compiles to a plain copy (or a
+/// vectorised map) instead of a capacity check per element.
+fn put_le<T: Copy, const N: usize>(
+    out: &mut impl Write,
+    xs: &[T],
+    to_le: impl Fn(T) -> [u8; N],
+) -> io::Result<()> {
     const CHUNK_BYTES: usize = 4096;
     let mut chunk_bytes = [0u8; CHUNK_BYTES];
     for chunk in xs.chunks(CHUNK_BYTES / N) {
@@ -78,8 +237,9 @@ fn put_le<T: Copy, const N: usize>(out: &mut Vec<u8>, xs: &[T], to_le: impl Fn(T
         for (dst, &x) in bytes.chunks_exact_mut(N).zip(chunk) {
             dst.copy_from_slice(&to_le(x));
         }
-        out.extend_from_slice(bytes);
+        out.write_all(bytes)?;
     }
+    Ok(())
 }
 
 fn put_dims(buf: &mut impl BufMut, dims: &[Dim]) {
@@ -92,15 +252,22 @@ fn put_dims(buf: &mut impl BufMut, dims: &[Dim]) {
 
 /// Everything of a variable record that precedes its payload; shared by
 /// the exact and AQZ1 encoders.
-fn put_var_header(buf: &mut impl BufMut, v: &Variable) {
-    put_string(buf, &v.name);
-    buf.put_u8(v.dtype().tag());
-    buf.put_u32_le(v.dims.len() as u32);
-    for &DimId(i) in &v.dims {
+fn put_var_header(
+    buf: &mut impl BufMut,
+    name: &str,
+    dtype: DType,
+    dims: &[DimId],
+    attrs: &BTreeMap<String, AttrValue>,
+    count: usize,
+) {
+    put_string(buf, name);
+    buf.put_u8(dtype.tag());
+    buf.put_u32_le(dims.len() as u32);
+    for &DimId(i) in dims {
         buf.put_u32_le(i);
     }
-    put_attrs(buf, &v.attrs);
-    buf.put_u64_le(v.data.len() as u64);
+    put_attrs(buf, attrs);
+    buf.put_u64_le(count as u64);
 }
 
 fn put_string(buf: &mut impl BufMut, s: &str) {
@@ -267,7 +434,14 @@ pub fn encode_quantized(ds: &Dataset) -> Bytes {
     put_dims(&mut buf, &ds.dims);
     buf.put_u32_le(ds.vars.len() as u32);
     for v in &ds.vars {
-        put_var_header(&mut buf, v);
+        put_var_header(
+            &mut buf,
+            &v.name,
+            v.dtype(),
+            &v.dims,
+            &v.attrs,
+            v.data.len(),
+        );
         match &v.data {
             Data::F32(xs) => {
                 buf.put_u8(ENC_QUANT);
@@ -637,6 +811,77 @@ mod tests {
             // re-encoding what the view decoded reproduces the input exactly.
             prop_assert_eq!(&owned.to_bytes()[..], &bytes[..]);
         }
+    }
+
+    /// A producer that never builds a `Dataset`: f64 grids narrowed or
+    /// kept, a mask made row by row — into a sink that already holds
+    /// something, as a container's does.
+    #[test]
+    fn streamed_records_equal_the_materialised_dataset() {
+        let (ny, nx) = (37, 29);
+        let grid: Vec<f64> = (0..ny * nx)
+            .map(|i| (i as f64 * 0.37).sin() * 1e3)
+            .collect();
+        let mask_at = |j: usize, i: usize| u8::from((i + 2 * j) % 3 == 1);
+        let mut head = Dataset::new();
+        head.set_attr("title", AttrValue::Text("streamed".into()));
+        let y = head.add_dim("y", ny).unwrap();
+        let x = head.add_dim("x", nx).unwrap();
+
+        let mut ds = head.clone();
+        let narrowed = grid.iter().map(|&v| (v * 0.5) as f32).collect();
+        ds.add_var("half", &[y, x], Data::F32(narrowed)).unwrap();
+        ds.add_var("exact", &[y, x], Data::F64(grid.clone()))
+            .unwrap();
+        let mask = (0..ny * nx).map(|k| mask_at(k / nx, k % nx)).collect();
+        ds.add_var("mask", &[y, x], Data::U8(mask)).unwrap();
+
+        let none = BTreeMap::new();
+        let mut out = b"prefix".to_vec();
+        let mut w = ExactWriter::new(&mut out, &head, 3).unwrap();
+        w.var_f32_from("half", &[y, x], &none, &grid, |v| (v * 0.5) as f32)
+            .unwrap();
+        w.var_f64("exact", &[y, x], &none, &grid).unwrap();
+        w.var_u8_rows("mask", &[y, x], &none, (ny, nx), |j, row| {
+            assert!(row.iter().all(|&b| b == 0), "rows arrive zeroed");
+            for (i, b) in row.iter_mut().enumerate() {
+                *b = mask_at(j, i);
+            }
+        })
+        .unwrap();
+        w.finish().unwrap();
+        assert_eq!(&out[..6], b"prefix");
+        assert_eq!(&out[6..], &ds.to_bytes()[..]);
+    }
+
+    #[test]
+    fn exact_writer_refuses_what_would_not_parse() {
+        let mut head = Dataset::new();
+        let x = head.add_dim("x", 4).unwrap();
+        let none = BTreeMap::new();
+        let kind = |r: io::Result<()>| r.unwrap_err().kind();
+        let mut w = ExactWriter::new(Vec::new(), &head, 1).unwrap();
+        // Element count against the dimensions; a dimension never declared.
+        assert_eq!(
+            kind(w.var_f64("v", &[x], &none, &[0.0; 3])),
+            io::ErrorKind::InvalidInput
+        );
+        assert_eq!(
+            kind(w.var_u8("v", &[DimId(7)], &none, &[0; 4])),
+            io::ErrorKind::InvalidInput
+        );
+        // A refused record wrote nothing: the declared one is still owed...
+        let owed = ExactWriter::new(Vec::new(), &head, 1).unwrap().finish();
+        assert_eq!(owed.unwrap_err().kind(), io::ErrorKind::InvalidInput);
+        w.var_i32("v", &[x], &none, &[1, 2, 3, 4]).unwrap();
+        // ... and one more than declared is refused.
+        assert_eq!(
+            kind(w.var_i32("w", &[x], &none, &[1, 2, 3, 4])),
+            io::ErrorKind::InvalidInput
+        );
+        let bytes = w.finish().unwrap();
+        let back = Dataset::from_bytes(&bytes).unwrap();
+        assert_eq!(back.var("v").unwrap().data, Data::I32(vec![1, 2, 3, 4]));
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! needs one variable of many validates the same way with
 //! [`DatasetView::parse`] and borrows the payloads instead of copying them;
 //! a writer that emits frame after frame reuses one buffer through
-//! [`Dataset::encode_into`].
+//! [`Dataset::encode_into`], and one whose values already lie in its own
+//! arrays streams them record by record through [`codec::ExactWriter`]
+//! without building a [`Dataset`] at all.
 //!
 //! # Layout (version 1, little-endian)
 //!

@@ -2,60 +2,14 @@
 //! byte soup nor aimed corruption of a valid blob panics a decoder or makes
 //! it allocate beyond what the input can back.
 
+#[path = "wire/alloc.rs"]
+mod alloc;
 mod wire;
 
+use alloc::largest_alloc_during;
 use ncdf::{Dataset, DatasetView, NcdfError};
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use wire::{arb_dataset, encode_per_element, Field, FieldKind};
-
-thread_local! {
-    /// Largest single allocation this thread has requested since the last
-    /// reset (tests run on parallel threads, so the mark is per thread).
-    static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
-}
-
-struct Recording;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is a thread-local high-water
-// mark held in a const-initialised `Cell`, which neither allocates nor
-// unwinds.
-unsafe impl GlobalAlloc for Recording {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: `layout` is the caller's, passed through untouched.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc`/`realloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: same block, same layout, as the caller guarantees.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-fn note(size: usize) {
-    // `try_with`: the allocator also runs while a thread's locals are being
-    // torn down.
-    let _ = LARGEST_ALLOC.try_with(|m| m.set(m.get().max(size)));
-}
-
-#[global_allocator]
-static ALLOC: Recording = Recording;
-
-/// Run `f` and return its result with the largest single allocation it made.
-fn largest_alloc_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    LARGEST_ALLOC.with(|m| m.set(0));
-    let out = f();
-    (out, LARGEST_ALLOC.with(|m| m.get()))
-}
 
 /// Header records are wider in memory than on the wire (a 21-byte variable
 /// record becomes a ~100-byte struct, a 12-byte dimension a 32-byte one),

@@ -33,8 +33,16 @@ use std::path::{Path, PathBuf};
 /// at compile time. This is the canonical copy for the workspace; the
 /// transport layer re-exports it.
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_update(0, data)
+}
+
+/// Running form of [`crc32`]: extend the checksum `crc` of everything seen
+/// so far by `data`, so a writer can fold pieces in as they pass instead
+/// of holding them all. `crc32_update(crc32(a), b) == crc32(a ++ b)`; the
+/// checksum of nothing is 0.
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     const TABLE: [u32; 256] = crc32_table();
-    let mut crc = 0xffff_ffffu32;
+    let mut crc = !crc;
     for &b in data {
         let idx = (crc ^ b as u32) & 0xff;
         crc = (crc >> 8) ^ TABLE[idx as usize];
@@ -462,6 +470,11 @@ mod tests {
         // Standard check value for "123456789" under CRC-32/ISO-HDLC.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+        // Folded in pieces — empty ones included — it is the same value.
+        let piecewise = [&b"1234"[..], b"", b"5", b"6789"]
+            .iter()
+            .fold(0, |crc, piece| crc32_update(crc, piece));
+        assert_eq!(piecewise, 0xcbf4_3926);
     }
 
     #[test]

@@ -28,6 +28,6 @@ mod store;
 
 pub use cluster::{Cluster, SharedCores};
 pub use disk::{Disk, DiskFull};
-pub use journal::crc32;
+pub use journal::{crc32, crc32_update};
 pub use network::{BandwidthProbe, Network, SharedLink, WanQueue};
 pub use store::{FrameMeta, FrameStore, StoreError};

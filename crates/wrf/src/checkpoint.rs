@@ -13,18 +13,27 @@
 //! reader only ever sees a complete old snapshot or a complete new one —
 //! never a torn write. The recovery supervisor uses the same container
 //! for its checkpoint bundles and receiver-state snapshots.
+//!
+//! Both are *streamed*: [`WrfModel::checkpoint_to`] writes the dataset
+//! encoding straight from the solver's grids into any [`io::Write`], and
+//! [`write_snapshot_with`] hands its caller such a sink, folding whatever
+//! passes through into the container's length and checksum — so a
+//! checkpoint reaches its file without the model ever being copied into a
+//! dataset, a byte buffer or a payload on the way.
 
 use crate::fields::Fields;
 use crate::grid::Grid2;
 use crate::model::{ModelConfig, ModelError, WrfModel};
 use crate::nest::{Nest, NestConfig};
+use crate::record::{Record, Source, Var};
 use crate::solver::PhysicsParams;
 use crate::vortex::{VortexParams, VortexState};
 use crate::DomainGeom;
-use ncdf::{AttrValue, Data, Dataset, DimId};
-use resources::crc32;
+use ncdf::{AttrValue, Dataset};
+use resources::{crc32, crc32_update};
+use std::borrow::Borrow;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Magic prefix of every snapshot file.
@@ -37,35 +46,99 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// u64 LE payload length, then the payload.
 const SNAPSHOT_HEADER_LEN: usize = 4 + 4 + 4 + 8;
 
+/// Buffer between the payload's producer and the tmp file. The encoder
+/// hands over 4 KiB pieces; this is what turns them into a few large
+/// writes, and it is the only payload-proportional memory a streamed
+/// snapshot holds.
+const SNAPSHOT_BUFFER_BYTES: usize = 64 * 1024;
+
 /// Value of the `kernel_path` checkpoint attribute: the tag of the lanes
 /// kernels, the only ones that step a model. Tag 0 belonged to the retired
 /// scalar path; the oldest files carry no attribute at all.
 const LANES_KERNEL_TAG: i64 = 1;
+
+fn snapshot_header(payload_crc: u32, payload_len: u64) -> [u8; SNAPSHOT_HEADER_LEN] {
+    let mut header = [0u8; SNAPSHOT_HEADER_LEN];
+    header[..4].copy_from_slice(&SNAPSHOT_MAGIC);
+    header[4..8].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    header[8..12].copy_from_slice(&payload_crc.to_le_bytes());
+    header[12..].copy_from_slice(&payload_len.to_le_bytes());
+    header
+}
+
+/// The payload side of a snapshot being written: forwards to the buffered
+/// tmp file and keeps the running checksum and length the header needs.
+struct PayloadSink<S: Write> {
+    out: BufWriter<S>,
+    crc: u32,
+    len: u64,
+}
+
+impl<S: Write> Write for PayloadSink<S> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.out.write(buf)?;
+        self.crc = crc32_update(self.crc, &buf[..n]);
+        self.len += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()
+    }
+}
 
 /// Write `payload` to `path` as a checksummed snapshot: the bytes go to a
 /// sibling `.tmp` file, are fsynced, and atomically renamed over `path`
 /// (the directory is synced too, best-effort). A crash at any point
 /// leaves either the old snapshot or the new one — never a mix.
 pub fn write_snapshot_file(path: &Path, payload: &[u8]) -> io::Result<()> {
-    let mut header = [0u8; SNAPSHOT_HEADER_LEN];
-    header[..4].copy_from_slice(&SNAPSHOT_MAGIC);
-    header[4..8].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    header[8..12].copy_from_slice(&crc32(payload).to_le_bytes());
-    header[12..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    write_snapshot_with(path, |out| out.write_all(payload))
+}
 
+/// [`write_snapshot_file`] for a payload that is produced piece by piece:
+/// `fill` writes it into the sink it is given, in as many pieces as it
+/// likes, and the container's length and checksum are taken from what
+/// passed through. Same file bytes, same crash guarantee.
+pub fn write_snapshot_with(
+    path: &Path,
+    fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> io::Result<()> {
+    write_snapshot_through(path, |tmp| tmp, fill)
+}
+
+/// The one container writer. The header's checksum and length are not
+/// known until the payload has passed, so the tmp file starts with a
+/// zeroed placeholder that is patched once the payload is down; only then
+/// is the file synced and renamed. Until the rename nothing is visible at
+/// `path`, so a crash mid-way leaves at worst an orphaned `.tmp` (which
+/// the recovery bootstrap sweeps), never a snapshot with a placeholder
+/// header. `wrap` lets tests put a failing sink between writer and file.
+fn write_snapshot_through<S: Write + Seek + Borrow<File>>(
+    path: &Path,
+    wrap: impl FnOnce(File) -> S,
+    fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
-        let mut f = OpenOptions::new()
+        let file = OpenOptions::new()
             .create(true)
             .write(true)
             .truncate(true)
             .open(&tmp)?;
-        // Header and payload go to the same tmp file under one fsync; the
-        // payload is written from where it lies, not copied behind the
-        // header first.
-        f.write_all(&header)?;
-        f.write_all(payload)?;
-        f.sync_all()?;
+        let mut sink = PayloadSink {
+            out: BufWriter::with_capacity(SNAPSHOT_BUFFER_BYTES, wrap(file)),
+            crc: 0,
+            len: 0,
+        };
+        sink.out.write_all(&[0u8; SNAPSHOT_HEADER_LEN])?;
+        fill(&mut sink)?;
+        let header = snapshot_header(sink.crc, sink.len);
+        // `BufWriter::seek` flushes the payload's tail first.
+        sink.out.seek(SeekFrom::Start(0))?;
+        sink.out.write_all(&header)?;
+        sink.out.flush()?;
+        let file: &File = sink.out.get_ref().borrow();
+        file.sync_all()?;
     }
     fs::rename(&tmp, path)?;
     if let Some(parent) = path.parent() {
@@ -81,43 +154,71 @@ pub fn write_snapshot_file(path: &Path, payload: &[u8]) -> io::Result<()> {
 /// comes back as [`io::ErrorKind::InvalidData`] so callers can fall back
 /// to an older snapshot.
 pub fn read_snapshot_file(path: &Path) -> io::Result<Vec<u8>> {
-    let mut data = Vec::new();
-    File::open(path)?.read_to_end(&mut data)?;
     let bad = |what: &str| {
         io::Error::new(
             io::ErrorKind::InvalidData,
             format!("snapshot {}: {what}", path.display()),
         )
     };
-    if data.len() < SNAPSHOT_HEADER_LEN {
-        return Err(bad("shorter than its header"));
-    }
-    if data[..4] != SNAPSHOT_MAGIC {
+    let mut file = File::open(path)?;
+    let mut header = [0u8; SNAPSHOT_HEADER_LEN];
+    file.read_exact(&mut header).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => bad("shorter than its header"),
+        _ => e,
+    })?;
+    if header[..4] != SNAPSHOT_MAGIC {
         return Err(bad("bad magic"));
     }
-    let version = u32::from_le_bytes(data[4..8].try_into().unwrap());
+    let version = u32::from_le_bytes(header[4..8].try_into().unwrap());
     if version != SNAPSHOT_VERSION {
         return Err(bad("unknown version"));
     }
-    let crc = u32::from_le_bytes(data[8..12].try_into().unwrap());
-    let len = u64::from_le_bytes(data[12..20].try_into().unwrap()) as usize;
-    if data.len() != SNAPSHOT_HEADER_LEN + len {
+    let crc = u32::from_le_bytes(header[8..12].try_into().unwrap());
+    let len = u64::from_le_bytes(header[12..].try_into().unwrap());
+    // The payload is read into the buffer that is handed back (sized by
+    // the file, not by `len`), and the lengths are compared as u64: a
+    // hostile `len` can neither reserve memory nor overflow an addition.
+    let mut payload = Vec::new();
+    file.read_to_end(&mut payload)?;
+    if payload.len() as u64 != len {
         return Err(bad("payload length mismatch"));
     }
-    let payload = &data[SNAPSHOT_HEADER_LEN..];
-    if crc32(payload) != crc {
+    if crc32(&payload) != crc {
         return Err(bad("CRC mismatch"));
     }
-    Ok(payload.to_vec())
+    Ok(payload)
 }
 
 impl WrfModel {
     /// Serialize the complete model state.
     pub fn checkpoint(&self) -> Vec<u8> {
+        let record = self.checkpoint_record();
+        let mut bytes = Vec::with_capacity(record.encoded_size_hint());
+        record
+            .write_to(&mut bytes)
+            .expect("a Vec sink cannot fail, and every variable spans its own grid");
+        bytes
+    }
+
+    /// Stream the bytes of [`checkpoint`](Self::checkpoint) into `out`,
+    /// each field written from where it lies in the solver's grids.
+    pub fn checkpoint_to<W: Write>(&self, out: W) -> io::Result<()> {
+        self.checkpoint_record().write_to(out)
+    }
+
+    /// Checkpoint straight to a durable snapshot file (tmp + fsync +
+    /// atomic rename).
+    pub fn checkpoint_to_file(&self, path: &Path) -> io::Result<()> {
+        write_snapshot_with(path, |out| self.checkpoint_to(out))
+    }
+
+    /// What a checkpoint holds — the one place its attributes, dimensions
+    /// and variables are listed.
+    fn checkpoint_record(&self) -> Record<'_> {
         let (cfg, fields, nest, vortex, sim_secs, steps) = self.parts();
-        let mut ds = Dataset::new();
-        ds.set_attr("kind", AttrValue::Text("wrf-lite checkpoint".into()));
-        ds.set_attr(
+        let mut head = Dataset::new();
+        head.set_attr("kind", AttrValue::Text("wrf-lite checkpoint".into()));
+        head.set_attr(
             "geom",
             AttrValue::F64List(vec![
                 cfg.geom.lon_west,
@@ -127,7 +228,7 @@ impl WrfModel {
                 cfg.geom.km_per_deg_lon,
             ]),
         );
-        ds.set_attr(
+        head.set_attr(
             "phys",
             AttrValue::F64List(vec![
                 cfg.phys.gravity,
@@ -144,7 +245,7 @@ impl WrfModel {
                 cfg.phys.q_tau_secs,
             ]),
         );
-        ds.set_attr(
+        head.set_attr(
             "vortex_params",
             AttrValue::F64List(vec![
                 cfg.vortex.start_lon,
@@ -160,7 +261,7 @@ impl WrfModel {
                 cfg.vortex.wind_per_depth,
             ]),
         );
-        ds.set_attr(
+        head.set_attr(
             "nest_cfg",
             AttrValue::F64List(vec![
                 cfg.nest.ratio as f64,
@@ -169,29 +270,22 @@ impl WrfModel {
                 cfg.nest.recenter_km,
             ]),
         );
-        ds.set_attr("resolution_km", AttrValue::F64(cfg.resolution_km));
-        ds.set_attr("decimation", AttrValue::I64(cfg.decimation as i64));
-        ds.set_attr("kernel_path", AttrValue::I64(LANES_KERNEL_TAG));
-        ds.set_attr("sim_secs", AttrValue::F64(sim_secs));
-        ds.set_attr("steps_taken", AttrValue::I64(steps as i64));
-        ds.set_attr(
+        head.set_attr("resolution_km", AttrValue::F64(cfg.resolution_km));
+        head.set_attr("decimation", AttrValue::I64(cfg.decimation as i64));
+        head.set_attr("kernel_path", AttrValue::I64(LANES_KERNEL_TAG));
+        head.set_attr("sim_secs", AttrValue::F64(sim_secs));
+        head.set_attr("steps_taken", AttrValue::I64(steps as i64));
+        head.set_attr(
             "vortex_state",
             AttrValue::F64List(vec![vortex.x_km, vortex.y_km, vortex.depth_hpa]),
         );
 
-        put_fields(&mut ds, "parent", fields);
+        let mut vars = Vec::with_capacity(8);
+        put_fields(&mut head, &mut vars, "parent", fields);
         if let Some(n) = nest {
-            put_fields(&mut ds, "nest", &n.fields);
+            put_fields(&mut head, &mut vars, "nest", &n.fields);
         }
-        let mut bytes = Vec::new();
-        ds.encode_into(&mut bytes);
-        bytes
-    }
-
-    /// Checkpoint straight to a durable snapshot file (tmp + fsync +
-    /// atomic rename).
-    pub fn checkpoint_to_file(&self, path: &Path) -> io::Result<()> {
-        write_snapshot_file(path, &self.checkpoint())
+        Record { head, vars }
     }
 
     /// Restore from a snapshot file written by
@@ -326,25 +420,23 @@ impl Nest {
     }
 }
 
-fn put_fields(ds: &mut Dataset, prefix: &str, f: &Fields) {
-    let y = ds
+fn put_fields<'a>(head: &mut Dataset, vars: &mut Vec<Var<'a>>, prefix: &str, f: &'a Fields) {
+    let y = head
         .add_dim(format!("{prefix}_sn"), f.ny())
         .expect("unique dims per prefix");
-    let x = ds
+    let x = head
         .add_dim(format!("{prefix}_we"), f.nx())
         .expect("unique dims per prefix");
-    ds.set_attr(
+    head.set_attr(
         format!("{prefix}_meta"),
         AttrValue::F64List(vec![f.dx_km, f.origin_x_km, f.origin_y_km]),
     );
-    let add = |ds: &mut Dataset, name: String, g: &Grid2, dims: &[DimId]| {
-        ds.add_var(name, dims, Data::F64(g.data().to_vec()))
-            .expect("shape matches grid");
-    };
-    add(ds, format!("{prefix}_eta"), &f.eta, &[y, x]);
-    add(ds, format!("{prefix}_u"), &f.u, &[y, x]);
-    add(ds, format!("{prefix}_v"), &f.v, &[y, x]);
-    add(ds, format!("{prefix}_q"), &f.q, &[y, x]);
+    let grids = [("eta", &f.eta), ("u", &f.u), ("v", &f.v), ("q", &f.q)];
+    vars.extend(grids.map(|(name, g)| Var {
+        name: format!("{prefix}_{name}"),
+        dims: [y, x],
+        source: Source::Exact(g.data()),
+    }));
 }
 
 fn get_fields(ds: &Dataset, prefix: &str) -> Result<Fields, ModelError> {
@@ -401,10 +493,258 @@ fn get_fields(ds: &Dataset, prefix: &str) -> Result<Fields, ModelError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ncdf::{Data, DimId};
 
     fn model() -> WrfModel {
         let cfg = ModelConfig::aila_default().with_decimation(8);
         WrfModel::new(cfg).unwrap()
+    }
+
+    /// The checkpoint as it was built before it was streamed: every grid
+    /// cloned into a `Dataset`, the dataset encoded. Kept only as the
+    /// oracle `checkpoint_record` is checked against — an independent
+    /// listing of the attributes, dimensions and variables.
+    fn checkpoint_via_dataset(m: &WrfModel) -> Vec<u8> {
+        fn put_fields(ds: &mut Dataset, prefix: &str, f: &Fields) {
+            let y = ds.add_dim(format!("{prefix}_sn"), f.ny()).unwrap();
+            let x = ds.add_dim(format!("{prefix}_we"), f.nx()).unwrap();
+            ds.set_attr(
+                format!("{prefix}_meta"),
+                AttrValue::F64List(vec![f.dx_km, f.origin_x_km, f.origin_y_km]),
+            );
+            let add = |ds: &mut Dataset, name: String, g: &Grid2, dims: &[DimId]| {
+                ds.add_var(name, dims, Data::F64(g.data().to_vec()))
+                    .expect("shape matches grid");
+            };
+            add(ds, format!("{prefix}_eta"), &f.eta, &[y, x]);
+            add(ds, format!("{prefix}_u"), &f.u, &[y, x]);
+            add(ds, format!("{prefix}_v"), &f.v, &[y, x]);
+            add(ds, format!("{prefix}_q"), &f.q, &[y, x]);
+        }
+        let (cfg, fields, nest, vortex, sim_secs, steps) = m.parts();
+        let (g, p, v, n) = (&cfg.geom, &cfg.phys, &cfg.vortex, &cfg.nest);
+        let mut ds = Dataset::new();
+        ds.set_attr("kind", AttrValue::Text("wrf-lite checkpoint".into()));
+        let list = |xs: &[f64]| AttrValue::F64List(xs.to_vec());
+        ds.set_attr(
+            "geom",
+            list(&[
+                g.lon_west,
+                g.lat_south,
+                g.lon_span,
+                g.lat_span,
+                g.km_per_deg_lon,
+            ]),
+        );
+        ds.set_attr(
+            "phys",
+            list(&[
+                p.gravity,
+                p.mean_depth_m,
+                p.coriolis_f0,
+                p.beta,
+                p.rayleigh,
+                p.diffusion_courant,
+                p.nudge_tau_secs,
+                p.y_center_km,
+                p.q_land,
+                p.q_sea,
+                p.q_vortex_boost,
+                p.q_tau_secs,
+            ]),
+        );
+        ds.set_attr(
+            "vortex_params",
+            list(&[
+                v.start_lon,
+                v.start_lat,
+                v.steer_east_ms,
+                v.steer_north_ms,
+                v.initial_depth_hpa,
+                v.max_depth_hpa,
+                v.deepen_rate_per_hour,
+                v.fill_rate_per_hour,
+                v.radius_km,
+                v.hpa_per_eta_m,
+                v.wind_per_depth,
+            ]),
+        );
+        ds.set_attr(
+            "nest_cfg",
+            list(&[n.ratio as f64, n.width_km, n.height_km, n.recenter_km]),
+        );
+        ds.set_attr("resolution_km", AttrValue::F64(cfg.resolution_km));
+        ds.set_attr("decimation", AttrValue::I64(cfg.decimation as i64));
+        ds.set_attr("kernel_path", AttrValue::I64(LANES_KERNEL_TAG));
+        ds.set_attr("sim_secs", AttrValue::F64(sim_secs));
+        ds.set_attr("steps_taken", AttrValue::I64(steps as i64));
+        ds.set_attr(
+            "vortex_state",
+            list(&[vortex.x_km, vortex.y_km, vortex.depth_hpa]),
+        );
+        put_fields(&mut ds, "parent", fields);
+        if let Some(n) = nest {
+            put_fields(&mut ds, "nest", &n.fields);
+        }
+        ds.to_bytes().to_vec()
+    }
+
+    /// Decimation × resolution × steps × nest off / on / despawned: the
+    /// streamed frame, checkpoint and snapshot file are byte for byte the
+    /// materialised ones.
+    #[test]
+    fn snapshot_streamed_forms_equal_the_materialised_ones() {
+        let path = tmppath("streamed");
+        let collected = path.with_file_name("collected.acp");
+        // Stale and longer than anything below: must be fully replaced.
+        let mut frame = vec![0xa5u8; 1 << 20];
+        for (decimation, resolution_km) in [(8, 24.0), (8, 10.0), (4, 18.0), (2, 24.0), (4, 12.0)] {
+            for steps in [0, 1, 40] {
+                // The fine grids make their point in a few steps.
+                if steps == 40 && decimation < 8 {
+                    continue;
+                }
+                let cfg = ModelConfig::aila_default()
+                    .with_resolution(resolution_km)
+                    .with_decimation(decimation);
+                let mut m = WrfModel::new(cfg).unwrap();
+                m.advance_steps(steps, 2).unwrap();
+                for nest in ["off", "on", "despawned"] {
+                    match nest {
+                        "on" => {
+                            m.spawn_nest();
+                            m.advance_steps(2, 1).unwrap();
+                        }
+                        "despawned" => m.despawn_nest(),
+                        _ => {}
+                    }
+                    let case =
+                        format!("{resolution_km} km / {decimation}, {steps} steps, nest {nest}");
+                    m.frame_into(&mut frame);
+                    assert_eq!(frame, m.frame().to_bytes().to_vec(), "frame, {case}");
+
+                    let ckpt = m.checkpoint();
+                    assert_eq!(ckpt, checkpoint_via_dataset(&m), "checkpoint, {case}");
+                    let mut streamed = Vec::new();
+                    m.checkpoint_to(&mut streamed).unwrap();
+                    assert_eq!(streamed, ckpt, "checkpoint_to, {case}");
+
+                    m.checkpoint_to_file(&path).unwrap();
+                    write_snapshot_file(&collected, &ckpt).unwrap();
+                    let file = std::fs::read(&path).unwrap();
+                    assert_eq!(file, std::fs::read(&collected).unwrap(), "file, {case}");
+                    assert_eq!(file, legacy_snapshot_bytes(&ckpt), "header, {case}");
+                }
+            }
+        }
+    }
+
+    /// A tmp file that takes `budget` bytes and then fails every write.
+    struct FailAfter {
+        file: File,
+        budget: usize,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.budget == 0 {
+                return Err(io::Error::other("sink full"));
+            }
+            let n = self.file.write(&buf[..buf.len().min(self.budget)])?;
+            self.budget -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.file.flush()
+        }
+    }
+
+    impl Seek for FailAfter {
+        fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+            self.file.seek(pos)
+        }
+    }
+
+    impl Borrow<File> for FailAfter {
+        fn borrow(&self) -> &File {
+            &self.file
+        }
+    }
+
+    #[test]
+    fn snapshot_interrupted_writer_leaves_the_previous_file_intact() {
+        let path = tmppath("interrupted");
+        let mut m = model();
+        m.checkpoint_to_file(&path).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        m.advance_steps(3, 1).unwrap();
+        // Placeholder, payload and the 20-byte header patch all pass
+        // through the sink.
+        let total = 2 * SNAPSHOT_HEADER_LEN + m.checkpoint().len();
+        for k in [0, 19, 20, total / 2, total - 1] {
+            let err = write_snapshot_through(
+                &path,
+                |file| FailAfter { file, budget: k },
+                |out| m.checkpoint_to(out),
+            )
+            .expect_err("the sink failed");
+            assert_eq!(err.to_string(), "sink full", "k = {k}");
+            assert_eq!(std::fs::read(&path).unwrap(), before, "k = {k}");
+            assert_eq!(read_snapshot_file(&path).unwrap(), before[20..], "k = {k}");
+        }
+        // With exactly enough room the same writer replaces the file.
+        write_snapshot_through(
+            &path,
+            |file| FailAfter {
+                file,
+                budget: total,
+            },
+            |out| m.checkpoint_to(out),
+        )
+        .unwrap();
+        assert_eq!(WrfModel::restore_from_file(&path).unwrap(), m);
+        assert_ne!(std::fs::read(&path).unwrap()[..20], [0u8; 20]);
+    }
+
+    /// Structure-aware damage to a valid container: every case is a typed
+    /// `InvalidData`, never a panic (the allocation bounds are checked
+    /// under a recording allocator in the root `snapshot_stream` suite).
+    #[test]
+    fn snapshot_container_mutations_are_invalid_data() {
+        let path = tmppath("mutations");
+        let payload = model().checkpoint();
+        let good = legacy_snapshot_bytes(&payload);
+        let len = payload.len() as u64;
+        let field = |at: usize, bytes: &[u8]| {
+            let mut b = good.clone();
+            b[at..at + bytes.len()].copy_from_slice(bytes);
+            b
+        };
+        let mut corpus = vec![
+            field(0, b"ACPX"),
+            field(0, &[0; 20]), // the writer's placeholder
+            field(4, &0u32.to_le_bytes()),
+            field(4, &2u32.to_le_bytes()),
+            field(8, &(!crc32(&payload)).to_le_bytes()),
+            [&good[..], b"trailing garbage"].concat(),
+        ];
+        for hostile in [0, len - 1, len + 1, u64::MAX - 19, u64::MAX] {
+            corpus.push(field(12, &hostile.to_le_bytes()));
+        }
+        // Truncation at every field boundary, and inside the payload.
+        for cut in [0, 3, 4, 8, 12, 19, 20, 21, good.len() / 2, good.len() - 1] {
+            corpus.push(good[..cut].to_vec());
+        }
+        for (i, bytes) in corpus.iter().enumerate() {
+            std::fs::write(&path, bytes).unwrap();
+            let err = read_snapshot_file(&path).expect_err("damaged container");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "case {i}: {err}");
+            assert!(matches!(
+                WrfModel::restore_from_file(&path),
+                Err(ModelError::BadCheckpoint(_))
+            ));
+        }
     }
 
     #[test]
@@ -554,6 +894,16 @@ mod tests {
         std::fs::write(&old, legacy_snapshot_bytes(&payload)).unwrap();
         assert_eq!(read_snapshot_file(&old).unwrap(), payload);
         assert_eq!(WrfModel::restore_from_file(&old).unwrap(), m);
+        // A file the commit before the streaming writer wrote (recorded by
+        // running its `write_snapshot_file` on this payload).
+        const PARENT_WROTE: [u8; 35] = [
+            65, 67, 80, 83, 1, 0, 0, 0, 95, 61, 118, 101, 15, 0, 0, 0, 0, 0, 0, 0, 97, 105, 108,
+            97, 32, 102, 114, 97, 109, 101, 32, 48, 48, 52, 50,
+        ];
+        std::fs::write(&old, PARENT_WROTE).unwrap();
+        assert_eq!(read_snapshot_file(&old).unwrap(), b"aila frame 0042");
+        write_snapshot_file(&path, b"aila frame 0042").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), PARENT_WROTE);
         // An empty payload is a header-only file.
         write_snapshot_file(&path, b"").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), legacy_snapshot_bytes(b""));

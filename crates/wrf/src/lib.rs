@@ -50,6 +50,7 @@ mod model;
 mod nest;
 mod par;
 pub mod pool;
+mod record;
 mod simd;
 mod solver;
 mod vortex;

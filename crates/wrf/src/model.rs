@@ -1,13 +1,14 @@
 //! The top-level model: configuration, stepping, frames, lifecycle.
 
+use crate::dt_for_resolution_secs;
 use crate::fields::Fields;
 use crate::geom::DomainGeom;
 use crate::nest::{Nest, NestConfig};
 use crate::pool::WorkerPool;
+use crate::record::{Record, Source, Var};
 use crate::solver::PhysicsParams;
-use crate::vortex::{VortexParams, VortexState, BASE_PRESSURE_HPA};
-use crate::{dt_for_resolution_secs, Grid2};
-use ncdf::{AttrValue, Data, Dataset};
+use crate::vortex::{VortexParams, VortexState};
+use ncdf::{AttrValue, Dataset};
 use serde::{Deserialize, Serialize};
 
 /// Errors from model construction and control.
@@ -408,19 +409,38 @@ impl WrfModel {
         Ok(())
     }
 
-    /// Encode the current state as one history frame (the NetCDF stand-in
-    /// the pipeline ships to the visualization site).
+    /// The current state as one history frame (the NetCDF stand-in the
+    /// pipeline ships to the visualization site), materialised as a
+    /// [`Dataset`]. A caller that only wants the encoded bytes should use
+    /// [`frame_into`](Self::frame_into), which builds no dataset.
     pub fn frame(&self) -> Dataset {
-        let mut ds = Dataset::new();
-        ds.set_attr("title", AttrValue::Text("wrf-lite history frame".into()));
-        ds.set_attr("sim_minutes", AttrValue::F64(self.sim_minutes()));
-        ds.set_attr("resolution_km", AttrValue::F64(self.cfg.resolution_km));
-        ds.set_attr("physics_dx_km", AttrValue::F64(self.fields.dx_km));
-        ds.set_attr(
-            "hpa_per_eta_m",
-            AttrValue::F64(self.cfg.vortex.hpa_per_eta_m),
-        );
-        ds.set_attr(
+        self.history_record().into_dataset()
+    }
+
+    /// Encode the current history frame into `out`, replacing whatever it
+    /// held: exactly the bytes of `self.frame().to_bytes()`, narrowed and
+    /// written straight from the solver's grids. With a buffer that has
+    /// held a frame of this size before, nothing frame-sized is allocated.
+    pub fn frame_into(&self, out: &mut Vec<u8>) {
+        let record = self.history_record();
+        out.clear();
+        out.reserve(record.encoded_size_hint());
+        record
+            .write_to(out)
+            .expect("a Vec sink cannot fail, and every variable spans its own grid");
+    }
+
+    /// What a history frame holds — the one place its attributes,
+    /// dimensions and variables are listed.
+    fn history_record<'a>(&'a self) -> Record<'a> {
+        let mut head = Dataset::new();
+        head.set_attr("title", AttrValue::Text("wrf-lite history frame".into()));
+        head.set_attr("sim_minutes", AttrValue::F64(self.sim_minutes()));
+        head.set_attr("resolution_km", AttrValue::F64(self.cfg.resolution_km));
+        head.set_attr("physics_dx_km", AttrValue::F64(self.fields.dx_km));
+        let hpa_per_eta_m = self.cfg.vortex.hpa_per_eta_m;
+        head.set_attr("hpa_per_eta_m", AttrValue::F64(hpa_per_eta_m));
+        head.set_attr(
             "domain_lonlat",
             AttrValue::F64List(vec![
                 self.cfg.geom.lon_west,
@@ -429,62 +449,53 @@ impl WrfModel {
                 self.cfg.geom.lat_south + self.cfg.geom.lat_span,
             ]),
         );
-        let (nx, ny) = (self.fields.nx(), self.fields.ny());
-        let y = ds.add_dim("south_north", ny).expect("fresh dataset");
-        let x = ds.add_dim("west_east", nx).expect("fresh dataset");
-        let to_f32 = |g: &Grid2| Data::F32(g.data().iter().map(|&v| v as f32).collect());
-        // `Fields::pressure_at`, cell by cell in storage order, narrowed as it
-        // is computed — no intermediate f64 grid.
-        let hpa = self.cfg.vortex.hpa_per_eta_m;
-        let pressure_f32 = |eta: &Grid2| {
-            Data::F32(
-                eta.data()
-                    .iter()
-                    .map(|&e| (BASE_PRESSURE_HPA + hpa * e) as f32)
-                    .collect(),
-            )
+        let y = head
+            .add_dim("south_north", self.fields.ny())
+            .expect("fresh dataset");
+        let x = head
+            .add_dim("west_east", self.fields.nx())
+            .expect("fresh dataset");
+        let mut vars = Vec::with_capacity(11);
+        // The four prognostic fields narrowed, then diagnosed pressure.
+        let prognostic = |vars: &mut Vec<Var<'a>>, prefix: &str, dims, f: &'a Fields| {
+            let eta = f.eta.data();
+            let sources = [
+                ("eta", Source::Narrow(eta)),
+                ("u", Source::Narrow(f.u.data())),
+                ("v", Source::Narrow(f.v.data())),
+                ("qvapor", Source::Narrow(f.q.data())),
+                ("pressure", Source::Pressure { eta, hpa_per_eta_m }),
+            ];
+            vars.extend(sources.map(|(name, source)| Var {
+                name: format!("{prefix}{name}"),
+                dims,
+                source,
+            }));
         };
-        ds.add_var("eta", &[y, x], to_f32(&self.fields.eta))
-            .expect("shape matches");
-        ds.add_var("u", &[y, x], to_f32(&self.fields.u))
-            .expect("shape matches");
-        ds.add_var("v", &[y, x], to_f32(&self.fields.v))
-            .expect("shape matches");
-        ds.add_var("qvapor", &[y, x], to_f32(&self.fields.q))
-            .expect("shape matches");
-        ds.add_var("pressure", &[y, x], pressure_f32(&self.fields.eta))
-            .expect("shape matches");
-        let xs_km: Vec<f64> = (0..nx).map(|i| self.fields.x_km(i)).collect();
-        let mut land = vec![0u8; nx * ny];
-        for (j, row) in land.chunks_exact_mut(nx).enumerate() {
-            self.cfg
-                .geom
-                .fill_land_row_km(&xs_km, self.fields.y_km(j), row);
-        }
-        ds.add_var("landmask", &[y, x], Data::U8(land))
-            .expect("shape matches");
-
+        prognostic(&mut vars, "", [y, x], &self.fields);
+        vars.push(Var {
+            name: "landmask".into(),
+            dims: [y, x],
+            source: Source::LandMask {
+                fields: &self.fields,
+                geom: &self.cfg.geom,
+            },
+        });
         if let Some(nest) = &self.nest {
-            let (nnx, nny) = (nest.fields.nx(), nest.fields.ny());
-            let nyd = ds.add_dim("nest_south_north", nny).expect("fresh dim");
-            let nxd = ds.add_dim("nest_west_east", nnx).expect("fresh dim");
-            ds.set_attr(
+            let ny = head
+                .add_dim("nest_south_north", nest.fields.ny())
+                .expect("fresh dim");
+            let nx = head
+                .add_dim("nest_west_east", nest.fields.nx())
+                .expect("fresh dim");
+            head.set_attr(
                 "nest_origin_km",
                 AttrValue::F64List(vec![nest.fields.origin_x_km, nest.fields.origin_y_km]),
             );
-            ds.set_attr("nest_dx_km", AttrValue::F64(nest.fields.dx_km));
-            ds.add_var("nest_eta", &[nyd, nxd], to_f32(&nest.fields.eta))
-                .expect("shape matches");
-            ds.add_var("nest_u", &[nyd, nxd], to_f32(&nest.fields.u))
-                .expect("shape matches");
-            ds.add_var("nest_v", &[nyd, nxd], to_f32(&nest.fields.v))
-                .expect("shape matches");
-            ds.add_var("nest_qvapor", &[nyd, nxd], to_f32(&nest.fields.q))
-                .expect("shape matches");
-            ds.add_var("nest_pressure", &[nyd, nxd], pressure_f32(&nest.fields.eta))
-                .expect("shape matches");
+            head.set_attr("nest_dx_km", AttrValue::F64(nest.fields.dx_km));
+            prognostic(&mut vars, "nest_", [ny, nx], &nest.fields);
         }
-        ds
+        Record { head, vars }
     }
 
     // -- checkpoint plumbing (serialization lives in `checkpoint.rs`) -----
@@ -509,6 +520,25 @@ impl WrfModel {
         steps_taken: u64,
     ) -> Result<Self, ModelError> {
         cfg.validate()?;
+        // A checksum vouches for a checkpoint's bytes, not for their sense:
+        // grids of the right element count but another shape (dimension
+        // lengths exchanged) must not become a model whose fields disagree
+        // with its own configuration.
+        let expect_shape = |what: &str, f: &Fields, (nx, ny): (usize, usize)| {
+            if (f.nx(), f.ny()) == (nx, ny) {
+                return Ok(());
+            }
+            Err(ModelError::BadCheckpoint(format!(
+                "{what} grid is {}x{}, its configuration spans {nx}x{ny}",
+                f.nx(),
+                f.ny()
+            )))
+        };
+        expect_shape("parent", &fields, cfg.physics_grid())?;
+        if let Some(n) = &nest {
+            let window = Nest::window_grid(fields.dx_km, &n.config());
+            expect_shape("nest", &n.fields, window)?;
+        }
         Ok(WrfModel {
             cfg,
             fields,

@@ -60,14 +60,23 @@ impl Nest {
     /// domain allows, initialized by interpolation from the parent.
     pub fn spawn(parent: &Fields, cfg: NestConfig, cx_km: f64, cy_km: f64) -> Nest {
         let dx = parent.dx_km / cfg.ratio as f64;
-        let nx = (cfg.width_km / dx).round() as usize + 1;
-        let ny = (cfg.height_km / dx).round() as usize + 1;
+        let (nx, ny) = Self::window_grid(parent.dx_km, &cfg);
         let (ox, oy) = clamp_origin(parent, &cfg, cx_km, cy_km);
-        let mut fields = Fields::zeros(nx.max(4), ny.max(4), dx);
+        let mut fields = Fields::zeros(nx, ny, dx);
         fields.origin_x_km = ox;
         fields.origin_y_km = oy;
         fill_from_parent(&mut fields, parent);
         Nest { fields, cfg }
+    }
+
+    /// Grid extent `(nx, ny)` of the window `cfg` describes under a parent
+    /// of spacing `parent_dx_km` — what every spawned or rebuilt nest has,
+    /// and what a checkpointed one is held to.
+    pub(crate) fn window_grid(parent_dx_km: f64, cfg: &NestConfig) -> (usize, usize) {
+        let dx = parent_dx_km / cfg.ratio as f64;
+        let nx = (cfg.width_km / dx).round() as usize + 1;
+        let ny = (cfg.height_km / dx).round() as usize + 1;
+        (nx.max(4), ny.max(4))
     }
 
     /// Window centre in parent-frame km.
