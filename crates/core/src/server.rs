@@ -61,13 +61,20 @@
 //! (see `net_transport::read_body`), so the length in a header is never
 //! trusted with memory.
 //!
+//! Retained bodies are not all on the heap: past a byte-bounded hot tail
+//! of the newest frames, a body lives only in an unlinked spill segment
+//! under [`std::env::temp_dir`], so `TMPDIR` must name a disk (see
+//! DESIGN §16, "Where a retained body lives").
+//!
 //! Conservation holds at the wire exactly as in the modeled broker:
 //! `frames_delivered + frames_shed == cursor_advance`, checked by the
 //! soak's invariant battery against hundreds of real loopback clients.
 
 pub mod toxic;
 
-use crate::broker::{Admission, AdmissionGate, BreakerConfig, FrameLog, ShedPolicy};
+use crate::broker::{
+    Admission, AdmissionGate, BreakerConfig, FrameLog, ShedPolicy, LIVE_LAG_FRAMES,
+};
 use crate::net_transport::{
     read_body, read_exact_deadline, FrameHeader, TransportError, ACK_APPLIED, HANDSHAKE_MAGIC,
     HEADER_BYTES,
@@ -75,10 +82,12 @@ use crate::net_transport::{
 use crate::qos::{self, QosRung};
 use crate::resilience::{crc32, BackoffPolicy};
 use std::collections::{HashMap, VecDeque};
-use std::io::Write;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::os::unix::fs::{FileExt, OpenOptionsExt};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use viz::TrackLog;
@@ -122,7 +131,10 @@ pub enum ServingMode {
 pub struct ServerConfig {
     /// Serving mode (listener bound unless [`ServingMode::Local`]).
     pub mode: ServingMode,
-    /// Nominal frame size for ring byte accounting.
+    /// Nominal frame size handed to the ring's [`FrameLog`]. No server
+    /// code reads the log's byte total: what the server holds is set by
+    /// the bodies published (resident bodies are bounded by the store's
+    /// hot tail, the rest lies in spill segments).
     pub frame_bytes: u64,
     /// Ring retention: at most this many frames replayable.
     pub retention_frames: u64,
@@ -170,45 +182,175 @@ impl Default for ServerConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Frame store: the broker ring plus retained bodies
+// Frame store: the broker ring, a hot tail of bodies, the rest on disk
 // ---------------------------------------------------------------------------
 
-/// One retained frame: everything that depends only on its bytes — the
-/// rung, the encoded body and the body's CRC-32 — computed once when it
-/// enters the ring and shared by reference, so N clients replaying it
-/// cost one allocation and one checksum.
-#[derive(Debug, Clone)]
-struct StoredFrame {
-    rung: QosRung,
-    crc: u32,
-    body: Arc<Vec<u8>>,
-}
+/// Bytes of written-through bodies the store keeps resident: the hot tail
+/// of the newest frames, which live and near-live deliveries read. A body
+/// is written through when a full ring of bodies its size would exceed
+/// this, so a ring of fix-sized frames never touches the disk.
+const HOT_TAIL_BYTES: usize = 8 << 20;
 
-/// The modeled broker's counters-only [`FrameLog`] with real bodies
-/// alongside: `bodies[i]` is ring sequence `base + tail + i`. `base`
-/// lets a replacement server continue a drained predecessor's sequence
-/// numbering without replaying its history.
+/// Capacity of one spill segment; a larger body gets a segment of its own
+/// length.
+const SEGMENT_BYTES: u64 = 8 << 20;
+
+/// File-name prefix of spill segments in [`std::env::temp_dir`], followed
+/// by the pid and a per-process counter. A segment is unlinked as soon as
+/// it is open, so the name exists only for that instant.
+const SPILL_PREFIX: &str = "afs-spill-";
+
+/// One spill segment: an unlinked file of fixed capacity, rewritten from
+/// offset 0 once no slot and no reader holds it any more.
 #[derive(Debug)]
-struct FrameStore {
-    base: u64,
-    log: FrameLog,
-    bodies: VecDeque<StoredFrame>,
+struct Segment {
+    file: File,
+    capacity: u64,
 }
 
-impl FrameStore {
-    fn new(frame_bytes: u64, retention: u64, base: u64) -> Self {
-        Self {
-            base,
-            log: FrameLog::new(frame_bytes, retention),
-            bodies: VecDeque::new(),
-        }
+impl Segment {
+    fn create(capacity: u64) -> io::Result<Self> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "{SPILL_PREFIX}{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .mode(0o600)
+            .open(&path)?;
+        std::fs::remove_file(&path)?;
+        Ok(Self { file, capacity })
+    }
+}
+
+/// Where a written-through body lies. Holding one keeps its segment from
+/// being recycled.
+#[derive(Debug, Clone)]
+struct Extent {
+    segment: Arc<Segment>,
+    offset: u64,
+    len: usize,
+}
+
+/// The publisher-side segment writer.
+#[derive(Debug, Default)]
+struct Spill {
+    /// Every open segment; one whose `Arc` only this list holds is free.
+    segments: Vec<Arc<Segment>>,
+    /// The segment being filled (an index into `segments`) and its fill
+    /// mark.
+    current: Option<(usize, u64)>,
+}
+
+impl Spill {
+    fn write(&mut self, body: &[u8]) -> io::Result<Extent> {
+        let len = body.len() as u64;
+        let (i, offset) = match self.current {
+            Some((i, at)) if at + len <= self.segments[i].capacity => (i, at),
+            _ => (self.roll(len)?, 0),
+        };
+        self.current = Some((i, offset + len));
+        let segment = &self.segments[i];
+        segment.file.write_all_at(body, offset)?;
+        Ok(Extent {
+            segment: Arc::clone(segment),
+            offset,
+            len: body.len(),
+        })
     }
 
-    fn publish(&mut self, frame: StoredFrame) -> u64 {
+    /// A free segment with room for `len` bytes, else a new one. Reusing
+    /// a segment rewrites pages the page cache already holds.
+    fn roll(&mut self, len: u64) -> io::Result<usize> {
+        self.current = None;
+        // Only this list can hand out a new reference, and it is behind
+        // the spill lock, so a count of one stays one. Free segments too
+        // small for this body are closed rather than kept forever.
+        self.segments
+            .retain(|s| Arc::strong_count(s) > 1 || s.capacity >= len);
+        if let Some(i) = self.segments.iter().position(|s| Arc::strong_count(s) == 1) {
+            // Pairs with the release decrement of the last reader's `Arc`:
+            // its read is done before this segment is overwritten.
+            fence(Ordering::Acquire);
+            return Ok(i);
+        }
+        self.segments
+            .push(Arc::new(Segment::create(len.max(SEGMENT_BYTES))?));
+        Ok(self.segments.len() - 1)
+    }
+}
+
+/// One retained frame: the rung and the body's CRC-32, computed once when
+/// it enters the ring, and its body — resident, on disk, or both while it
+/// is in the hot tail.
+#[derive(Debug)]
+struct Slot {
+    rung: QosRung,
+    crc: u32,
+    resident: Option<Arc<Vec<u8>>>,
+    spilled: Option<Extent>,
+}
+
+/// A frame taken from the ring under the store lock; its bytes are read
+/// with [`FrameStore::load`] after the lock is released.
+#[derive(Debug)]
+struct Fetched {
+    rung: QosRung,
+    crc: u32,
+    body: Held,
+}
+
+#[derive(Debug)]
+enum Held {
+    Memory(Arc<Vec<u8>>),
+    Disk(Extent),
+}
+
+/// The part of the store behind the store lock: the modeled broker's
+/// counters-only [`FrameLog`] with a slot per retained frame alongside.
+/// `slots[i]` is ring sequence `base + tail + i`; `base` lets a
+/// replacement server continue a drained predecessor's numbering.
+#[derive(Debug)]
+struct Ring {
+    base: u64,
+    log: FrameLog,
+    slots: VecDeque<Slot>,
+    /// Leading slots past the hot tail: their written-through bodies are
+    /// no longer resident.
+    cold: usize,
+    /// Resident bytes of written-through bodies in `slots[cold..]`.
+    hot_bytes: usize,
+}
+
+impl Ring {
+    fn push(&mut self, slot: Slot) -> u64 {
         let seq = self.base + self.log.append();
-        self.bodies.push_back(frame);
-        while self.bodies.len() as u64 > self.log.len() {
-            self.bodies.pop_front();
+        self.hot_bytes += slot.spilled.as_ref().map_or(0, |extent| extent.len);
+        self.slots.push_back(slot);
+        while self.slots.len() as u64 > self.log.len() {
+            let gone = self.slots.pop_front().expect("more slots than frames");
+            if self.cold > 0 {
+                self.cold -= 1;
+            } else if let (Some(body), Some(_)) = (&gone.resident, &gone.spilled) {
+                self.hot_bytes -= body.len();
+            }
+        }
+        // Past the budget the oldest hot bodies are released, but the
+        // frames a live client may still be sent stay resident.
+        while self.hot_bytes > HOT_TAIL_BYTES
+            && self.slots.len() - self.cold > LIVE_LAG_FRAMES as usize + 1
+        {
+            let slot = &mut self.slots[self.cold];
+            if slot.spilled.is_some() {
+                if let Some(body) = slot.resident.take() {
+                    self.hot_bytes -= body.len();
+                }
+            }
+            self.cold += 1;
         }
         seq
     }
@@ -221,11 +363,118 @@ impl FrameStore {
         self.base + self.log.tail()
     }
 
-    fn get(&self, seq: u64) -> Option<StoredFrame> {
+    fn get(&self, seq: u64) -> Option<Fetched> {
         if seq < self.tail() || seq >= self.head() {
             return None;
         }
-        self.bodies.get((seq - self.tail()) as usize).cloned()
+        let slot = &self.slots[(seq - self.tail()) as usize];
+        let body = match &slot.resident {
+            Some(body) => Held::Memory(Arc::clone(body)),
+            None => Held::Disk(slot.spilled.clone().expect("a released body was spilled")),
+        };
+        Some(Fetched {
+            rung: slot.rung,
+            crc: slot.crc,
+            body,
+        })
+    }
+}
+
+/// Retained frames: the ring behind the store lock, and the spill writer
+/// behind a lock of its own so that disk writes never hold up readers.
+/// The only place that decides whether a body is resident and where it
+/// lies on disk.
+#[derive(Debug)]
+struct FrameStore {
+    ring: Mutex<Ring>,
+    spill: Mutex<Spill>,
+    /// Longest body kept resident for its whole ring life: a full ring of
+    /// longer ones would exceed [`HOT_TAIL_BYTES`].
+    resident_max: usize,
+    #[cfg(test)]
+    faults: Faults,
+}
+
+/// Injected segment I/O failures: each counter is how many of the next
+/// writes or reads fail.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct Faults {
+    writes: AtomicU64,
+    reads: AtomicU64,
+}
+
+#[cfg(test)]
+fn injected(left: &AtomicU64, what: &str) -> io::Result<()> {
+    match left.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1)) {
+        Ok(_) => Err(io::Error::other(format!("injected {what} failure"))),
+        Err(_) => Ok(()),
+    }
+}
+
+impl FrameStore {
+    fn new(frame_bytes: u64, retention: u64, base: u64) -> Self {
+        Self {
+            ring: Mutex::new(Ring {
+                base,
+                log: FrameLog::new(frame_bytes, retention),
+                slots: VecDeque::new(),
+                cold: 0,
+                hot_bytes: 0,
+            }),
+            spill: Mutex::new(Spill::default()),
+            resident_max: HOT_TAIL_BYTES / retention.max(1) as usize,
+            #[cfg(test)]
+            faults: Faults::default(),
+        }
+    }
+
+    /// The store lock.
+    fn lock(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().expect("store lock")
+    }
+
+    /// Append a frame; returns its ring sequence. A body too long to keep
+    /// a whole ring of in memory is first written to the current spill
+    /// segment, on the caller's thread and outside the store lock; if
+    /// that fails, the body stays resident.
+    fn publish(&self, rung: QosRung, crc: u32, body: Vec<u8>) -> u64 {
+        let spilled = if body.len() > self.resident_max {
+            self.write_through(&body).ok()
+        } else {
+            None
+        };
+        self.lock().push(Slot {
+            rung,
+            crc,
+            resident: Some(Arc::new(body)),
+            spilled,
+        })
+    }
+
+    fn write_through(&self, body: &[u8]) -> io::Result<Extent> {
+        #[cfg(test)]
+        injected(&self.faults.writes, "write")?;
+        self.spill.lock().expect("spill lock").write(body)
+    }
+
+    /// The bytes of a fetched frame: shared from the hot tail, or read
+    /// from its segment into `buf`, which grows to the longest body read.
+    /// Never called with the store lock held.
+    fn load<'a>(&self, frame: &'a Fetched, buf: &'a mut Vec<u8>) -> io::Result<&'a [u8]> {
+        match &frame.body {
+            Held::Memory(body) => Ok(body),
+            Held::Disk(extent) => {
+                #[cfg(test)]
+                injected(&self.faults.reads, "read")?;
+                if buf.len() < extent.len {
+                    buf.resize(extent.len, 0);
+                }
+                let bytes = &mut buf[..extent.len];
+                extent.segment.file.read_exact_at(bytes, extent.offset)?;
+                Ok(bytes)
+            }
+        }
     }
 }
 
@@ -378,7 +627,7 @@ impl LinkPacer {
 
 struct Shared {
     cfg: ServerConfig,
-    store: Mutex<FrameStore>,
+    store: FrameStore,
     frame_cv: Condvar,
     gate: Mutex<AdmissionGate>,
     sessions: Mutex<HashMap<u64, Session>>,
@@ -462,11 +711,7 @@ impl FrameServer {
     pub fn start_resuming(cfg: ServerConfig, first_seq: u64) -> Result<Self, std::io::Error> {
         let epoch = Instant::now();
         let shared = Arc::new(Shared {
-            store: Mutex::new(FrameStore::new(
-                cfg.frame_bytes,
-                cfg.retention_frames,
-                first_seq,
-            )),
+            store: FrameStore::new(cfg.frame_bytes, cfg.retention_frames, first_seq),
             frame_cv: Condvar::new(),
             gate: Mutex::new(AdmissionGate::new(
                 cfg.admission_rate_per_sec,
@@ -519,21 +764,18 @@ impl FrameServer {
     ///
     /// The body is checksummed here, once, on the caller's thread and
     /// before the store lock is taken, so serving threads never wait on
-    /// it and never repeat it.
+    /// it and never repeat it. A body written through to a spill segment
+    /// is written here too, after the checksum and before the lock.
     pub fn publish(&self, rung: QosRung, body: Vec<u8>) -> u64 {
-        let frame = StoredFrame {
-            rung,
-            crc: self.shared.checksum(&body),
-            body: Arc::new(body),
-        };
-        let seq = self.shared.store.lock().expect("store lock").publish(frame);
+        let crc = self.shared.checksum(&body);
+        let seq = self.shared.store.publish(rung, crc, body);
         self.shared.frame_cv.notify_all();
         seq
     }
 
     /// Next ring sequence to be published.
     pub fn head(&self) -> u64 {
-        self.shared.store.lock().expect("store lock").head()
+        self.shared.store.lock().head()
     }
 
     /// Snapshot of the wire-tier counters.
@@ -552,12 +794,13 @@ impl FrameServer {
         if self.shared.cfg.mode == ServingMode::Remote {
             return None;
         }
-        let cursor = self.shared.store.lock().expect("store lock").tail();
+        let cursor = self.shared.store.lock().tail();
         Some(LocalViewer {
             shared: Arc::clone(&self.shared),
             cursor,
             delivered: 0,
             track: TrackLog::default(),
+            buf: Vec::new(),
         })
     }
 
@@ -583,7 +826,7 @@ impl FrameServer {
             .iter()
             .map(|(&id, s)| (id, s.cursor))
             .collect();
-        let head = self.shared.store.lock().expect("store lock").head();
+        let head = self.shared.store.lock().head();
         let counters = {
             let mut c = self.shared.counters.lock().expect("counters lock");
             c.drains += 1;
@@ -706,7 +949,7 @@ fn serve_connection(mut stream: TcpStream, shared: Arc<Shared>) {
 
     // --- resume: establish the session cursor ----------------------------
     let (tail, head) = {
-        let store = shared.store.lock().expect("store lock");
+        let store = shared.store.lock();
         (store.tail(), store.head())
     };
     let (cursor, my_generation, pinned) = {
@@ -810,10 +1053,11 @@ fn serve_frames(
     mut pinned: bool,
 ) {
     let cfg = &shared.cfg;
+    let mut buf = Vec::new();
     loop {
         // --- wait for a frame (or drain) ---------------------------------
         let (frame, is_catchup) = {
-            let mut store = shared.store.lock().expect("store lock");
+            let mut store = shared.store.lock();
             loop {
                 if shared.stopped.load(Ordering::SeqCst) {
                     return;
@@ -897,17 +1141,12 @@ fn serve_frames(
             match store.get(cursor) {
                 // Classified under the same acquisition that fetched it:
                 // one store lock per delivered frame.
-                Some(f) => (f, store.head() - cursor > crate::broker::LIVE_LAG_FRAMES),
+                Some(f) => (f, store.head() - cursor > LIVE_LAG_FRAMES),
                 None => {
                     // Evicted while we waited: resume expiry mid-session.
                     let tail = store.tail();
-                    let shed = tail.saturating_sub(cursor);
-                    cursor = tail.max(cursor);
-                    let mut c = shared.counters.lock().expect("counters lock");
-                    c.frames_shed += shed;
-                    c.cursor_advance += shed;
-                    c.resume_failures += 1;
-                    drop(c);
+                    drop(store);
+                    cursor = shed_lost(shared, cursor, tail.max(cursor));
                     if !commit_cursor(shared, client_id, my_generation, cursor) {
                         return;
                     }
@@ -932,8 +1171,21 @@ fn serve_frames(
             continue;
         }
 
+        // --- the body, shared from the hot tail or read from its segment
+        // into this connection's buffer, outside the store lock ------------
+        let body = match shared.store.load(&frame, &mut buf) {
+            Ok(body) => body,
+            Err(_) => {
+                cursor = shed_lost(shared, cursor, cursor + 1);
+                if !commit_cursor(shared, client_id, my_generation, cursor) {
+                    return;
+                }
+                continue;
+            }
+        };
+
         // --- pace against the shared downlink -----------------------------
-        let bytes = (HEADER_BYTES + frame.body.len()) as f64;
+        let bytes = (HEADER_BYTES + body.len()) as f64;
         let pace_deadline = Instant::now() + cfg.write_deadline;
         loop {
             if shared
@@ -954,7 +1206,7 @@ fn serve_frames(
 
         // --- write the frame, read the ack, both under deadlines ----------
         let wire_seq = cursor + 1;
-        if write_frame(stream, wire_seq, &frame).is_err() {
+        if write_frame(stream, wire_seq, &frame, body).is_err() {
             stall(shared, client_id, my_generation, &mut cursor);
             return;
         }
@@ -978,6 +1230,18 @@ fn serve_frames(
     }
 }
 
+/// Frames `[cursor, to)` can no longer be served — evicted while the
+/// session waited, or a body that could not be read back from its
+/// segment: they are shed and booked like an expired resume. Returns the
+/// new cursor, `to`.
+fn shed_lost(shared: &Shared, cursor: u64, to: u64) -> u64 {
+    let mut c = shared.counters.lock().expect("counters lock");
+    c.frames_shed += to - cursor;
+    c.cursor_advance += to - cursor;
+    c.resume_failures += 1;
+    to
+}
+
 /// A frame write or ack missed its deadline: book a slow-client stall,
 /// apply the shed policy to the backlog, and notify the breaker.
 fn stall(shared: &Shared, client_id: u64, my_generation: u64, cursor: &mut u64) {
@@ -987,7 +1251,7 @@ fn stall(shared: &Shared, client_id: u64, my_generation: u64, cursor: &mut u64) 
     }
     if shared.cfg.shed == ShedPolicy::Disconnect {
         // Kick with the backlog shed so the resume starts live.
-        let head = shared.store.lock().expect("store lock").head();
+        let head = shared.store.lock().head();
         let shed = head.saturating_sub(*cursor);
         if shed > 0 {
             *cursor = head;
@@ -1021,15 +1285,20 @@ fn write_admission(stream: &mut TcpStream, status: u8, value: u64) -> std::io::R
     stream.write_all(&buf)
 }
 
-fn write_frame(stream: &mut TcpStream, wire_seq: u64, frame: &StoredFrame) -> std::io::Result<()> {
+fn write_frame(
+    stream: &mut TcpStream,
+    wire_seq: u64,
+    frame: &Fetched,
+    body: &[u8],
+) -> std::io::Result<()> {
     let header = FrameHeader {
         seq: wire_seq,
-        len: frame.body.len() as u32,
+        len: body.len() as u32,
         crc: frame.crc,
         rung: frame.rung,
     };
     stream.write_all(&header.to_bytes())?;
-    stream.write_all(&frame.body)
+    stream.write_all(body)
 }
 
 fn write_control(stream: &mut TcpStream, kind: u8, value: u64) -> std::io::Result<()> {
@@ -1045,31 +1314,36 @@ fn write_control(stream: &mut TcpStream, kind: u8, value: u64) -> std::io::Resul
 // ---------------------------------------------------------------------------
 
 /// An in-process consumer sharing the ring with socket clients: the
-/// "local" half of the hybrid serving split. No sockets, no copies
-/// beyond the shared bodies.
+/// "local" half of the hybrid serving split. No sockets; hot-tail bodies
+/// are shared, older ones are read into one buffer.
 pub struct LocalViewer {
     shared: Arc<Shared>,
     cursor: u64,
     delivered: u64,
     track: TrackLog,
+    buf: Vec<u8>,
 }
 
 impl LocalViewer {
-    /// Apply every retained frame past the cursor; returns how many.
+    /// Apply every retained frame past the cursor; returns how many. A
+    /// frame whose body cannot be read back is skipped, not retried.
     pub fn drain_available(&mut self) -> u64 {
         let mut applied = 0;
         loop {
             let frame = {
-                let store = self.shared.store.lock().expect("store lock");
+                let store = self.shared.store.lock();
                 self.cursor = self.cursor.max(store.tail());
                 if self.cursor >= store.head() {
                     return applied;
                 }
                 store.get(self.cursor)
             };
-            let Some(frame) = frame else { continue };
-            qos::apply_body(&mut self.track, frame.rung, &frame.body);
             self.cursor += 1;
+            let Some(frame) = frame else { continue };
+            let Ok(body) = self.shared.store.load(&frame, &mut self.buf) else {
+                continue;
+            };
+            qos::apply_body(&mut self.track, frame.rung, body);
             self.delivered += 1;
             applied += 1;
         }
@@ -1933,5 +2207,279 @@ mod tests {
         let last = *local.into_track().fixes().last().expect("fixes");
         assert_eq!(last.lon, lon, "modeled tee serves the true fix");
         assert_eq!(last.lat, lat);
+    }
+
+    // --- where a retained body lives ---------------------------------------
+
+    /// `len` bytes of noise unique to `seq`.
+    fn noise(seq: u64, len: usize) -> Vec<u8> {
+        let mut z = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(seq + 1) | 1;
+        let mut out = vec![0u8; len];
+        for chunk in out.chunks_mut(8) {
+            z ^= z << 13;
+            z ^= z >> 7;
+            z ^= z << 17;
+            chunk.copy_from_slice(&z.to_le_bytes()[..chunk.len()]);
+        }
+        out
+    }
+
+    /// A full-resolution body of about `4 × 64 × nx` bytes whose eye fix
+    /// is unique to `seq`.
+    fn eye_body(seq: u64, nx: usize) -> Vec<u8> {
+        use ncdf::{AttrValue, Data, Dataset};
+        let mut ds = Dataset::new();
+        ds.set_attr("sim_minutes", AttrValue::F64(seq as f64));
+        ds.set_attr(
+            "domain_lonlat",
+            AttrValue::F64List(vec![80.0, 10.0, 95.0, 25.0]),
+        );
+        let y = ds.add_dim("y", 64).expect("new dim");
+        let x = ds.add_dim("x", nx).expect("new dim");
+        let mut pressure = vec![1000.0f32; 64 * nx];
+        pressure[(seq as usize * 7919) % (64 * nx)] = 950.0 - (seq % 40) as f32;
+        ds.add_var("pressure", &[y, x], Data::F32(pressure))
+            .expect("fills its dims");
+        let mut out = Vec::new();
+        ds.encode_into(&mut out);
+        out
+    }
+
+    /// Load every sequence in `[tail, head)` and compare it with what was
+    /// published; returns how many came from disk.
+    fn assert_window_loads(store: &FrameStore, published: &[(u64, Vec<u8>)]) -> usize {
+        let (tail, head) = {
+            let ring = store.lock();
+            (ring.tail(), ring.head())
+        };
+        let window: Vec<_> = published
+            .iter()
+            .filter(|(s, _)| (tail..head).contains(s))
+            .collect();
+        assert_eq!(window.len() as u64, head - tail, "every retained sequence");
+        let mut buf = Vec::new();
+        let mut cold = 0;
+        for (seq, body) in window {
+            let frame = store.lock().get(*seq).expect("retained");
+            cold += usize::from(matches!(frame.body, Held::Disk(_)));
+            let got = store.load(&frame, &mut buf).expect("segment read");
+            assert_eq!(got, &body[..], "sequence {seq} byte-identical");
+            assert_eq!(frame.crc, *seq as u32, "the checksum handed in");
+        }
+        assert!(store.lock().get(head).is_none());
+        assert!(tail == 0 || store.lock().get(tail - 1).is_none());
+        cold
+    }
+
+    #[test]
+    fn spill_every_retained_sequence_loads_byte_identically() {
+        // (retention, base, body lengths cycled by publish number,
+        // publishes, whether part of the window ends up cold)
+        let at = |retention: usize| HOT_TAIL_BYTES / retention;
+        let cases: [(u64, u64, Vec<usize>, u64, bool); 5] = [
+            // Exactly at the threshold: a full ring fits, nothing spills.
+            (64, 0, vec![at(64)], 100, false),
+            // One byte over: written through, several segment recycles.
+            (64, 0, vec![at(64) + 1], 250, true),
+            // A drained predecessor's base, mixed sizes on both sides of
+            // the threshold.
+            (
+                32,
+                1_000,
+                vec![32, at(32) + 1, 5_000, 6 * at(32), 1, at(32), 2 * at(32)],
+                60,
+                true,
+            ),
+            // Bodies over the hot budget: the live lag stays resident.
+            (8, 7, vec![at(8) + 1, 9 * at(8) / 8], 20, true),
+            // A body longer than a segment gets a segment of its own.
+            (4, 0, vec![SEGMENT_BYTES as usize + 1, at(4) + 1], 8, true),
+        ];
+        for (retention, base, lens, publishes, has_cold) in cases {
+            let store = FrameStore::new(32, retention, base);
+            let mut published = Vec::new();
+            let mut written = 0;
+            for n in 0..publishes {
+                let seq = base + n;
+                let body = noise(seq, lens[n as usize % lens.len()]);
+                let published_at = store.publish(QosRung::FullRes, seq as u32, body.clone());
+                assert_eq!(published_at, seq);
+                if body.len() > store.resident_max {
+                    written += body.len();
+                }
+                published.push((seq, body));
+                if published.len() as u64 > retention {
+                    published.remove(0);
+                }
+                let ring = store.lock();
+                let longest = lens.iter().copied().max().unwrap_or(0);
+                assert!(
+                    ring.hot_bytes <= HOT_TAIL_BYTES.max((LIVE_LAG_FRAMES as usize + 1) * longest),
+                    "hot tail {} B over budget",
+                    ring.hot_bytes
+                );
+                // The newest frames a live client may be sent are resident.
+                let newest = ring.slots.iter().rev().take(LIVE_LAG_FRAMES as usize + 1);
+                assert!(newest.into_iter().all(|s| s.resident.is_some()));
+            }
+            let cold = assert_window_loads(&store, &published);
+            assert_eq!(cold > 0, has_cold, "retention {retention}: {cold} cold");
+            let segments = store.spill.lock().expect("spill lock").segments.len();
+            if retention == 64 && has_cold {
+                // 250 bodies of 128 KiB are 31 MiB through 8 MiB segments,
+                // of which the ring needs about one.
+                assert!(written as u64 > 3 * SEGMENT_BYTES);
+                assert!(segments <= 3, "{segments} segments: none recycled");
+            }
+        }
+    }
+
+    #[test]
+    fn spill_a_fetched_slot_outlives_the_recycling_of_its_segment() {
+        let len = HOT_TAIL_BYTES / 16 + 1;
+        let store = FrameStore::new(32, 16, 0);
+        for seq in 0..40 {
+            store.publish(QosRung::FullRes, 0, noise(seq, len));
+        }
+        let tail = store.lock().tail();
+        let held = store.lock().get(tail).expect("retained");
+        assert!(matches!(held.body, Held::Disk(_)), "the tail is cold");
+        // Every frame in the held segment leaves the ring, and four
+        // segments' worth more are written.
+        for seq in 40..100 {
+            store.publish(QosRung::FullRes, 0, noise(seq, len));
+        }
+        assert!(store.lock().get(tail).is_none(), "evicted");
+        let segments = store.spill.lock().expect("spill lock").segments.len();
+        assert!(segments <= 4, "{segments} segments: none recycled");
+        let mut buf = Vec::new();
+        let got = store.load(&held, &mut buf).expect("segment read");
+        assert_eq!(
+            got,
+            &noise(tail, len)[..],
+            "its own bytes, not a recycler's"
+        );
+    }
+
+    #[test]
+    fn spill_a_failed_write_keeps_the_body_resident() {
+        // 16 bodies of 1 MiB: the hot tail holds the newest 8.
+        let store = FrameStore::new(32, 16, 0);
+        store.faults.writes.store(1, Ordering::SeqCst);
+        let published: Vec<_> = (0..16)
+            .map(|seq| {
+                let body = noise(seq, HOT_TAIL_BYTES / 8);
+                store.publish(QosRung::FullRes, seq as u32, body.clone());
+                (seq, body)
+            })
+            .collect();
+        {
+            let ring = store.lock();
+            let held = |seq| ring.get(seq).expect("retained").body;
+            assert!(
+                matches!(held(0), Held::Memory(_)),
+                "the body whose write failed stays in memory past the hot tail"
+            );
+            assert!(matches!(held(1), Held::Disk(_)));
+            assert!(matches!(held(15), Held::Memory(_)));
+        }
+        assert_eq!(assert_window_loads(&store, &published), 7);
+    }
+
+    #[test]
+    fn spill_a_local_viewer_drains_a_large_body_ring_from_its_tail() {
+        let cfg = ServerConfig {
+            mode: ServingMode::Hybrid,
+            retention_frames: 64,
+            ..quick_cfg()
+        };
+        let server = FrameServer::start(cfg).expect("bind");
+        // 64 bodies of 256 KiB are twice the hot tail: half the ring is cold.
+        let nx = 1024;
+        let mut want = TrackLog::default();
+        for seq in 0..150 {
+            let body = eye_body(seq, nx);
+            if seq >= 150 - 64 {
+                assert!(qos::apply_body(&mut want, QosRung::FullRes, &body));
+            }
+            server.publish(QosRung::FullRes, body);
+        }
+        let mut local = server.local_viewer().expect("hybrid has local viewers");
+        assert_eq!(local.drain_available(), 64, "tail to head");
+        let cold = (86..150)
+            .filter(|&s| {
+                matches!(
+                    server.shared.store.lock().get(s).map(|f| f.body),
+                    Some(Held::Disk(_))
+                )
+            })
+            .count();
+        assert!(cold >= 30, "{cold} cold frames");
+        assert_eq!(local.into_track().fixes(), want.fixes(), "byte-identical");
+    }
+
+    #[test]
+    fn spill_a_failed_read_sheds_one_frame_and_the_local_viewer_advances() {
+        let cfg = ServerConfig {
+            mode: ServingMode::Hybrid,
+            retention_frames: 64,
+            max_backlog_frames: 64,
+            ..quick_cfg()
+        };
+        let server = FrameServer::start(cfg).expect("bind");
+        let addr = server.addr().expect("hybrid binds a listener");
+        let nx = 1024;
+        let bodies: Vec<Vec<u8>> = (0..100).map(|seq| eye_body(seq, nx)).collect();
+        for body in &bodies {
+            server.publish(QosRung::FullRes, body.clone());
+        }
+        let tail = server.shared.store.lock().tail();
+
+        // In process: the first cold read fails, the viewer skips it.
+        let mut local = server.local_viewer().expect("local viewer");
+        server.shared.store.faults.reads.store(1, Ordering::SeqCst);
+        assert_eq!(local.drain_available(), 63, "one skipped, never retried");
+        assert_eq!(local.drain_available(), 0);
+        let mut want = TrackLog::default();
+        for body in &bodies[tail as usize + 1..] {
+            qos::apply_body(&mut want, QosRung::FullRes, body);
+        }
+        assert_eq!(local.into_track().fixes(), want.fixes());
+
+        // Over a socket: a client resuming at the tail loses exactly the
+        // frame whose read fails.
+        server
+            .shared
+            .sessions
+            .lock()
+            .expect("sessions lock")
+            .insert(5, Session::new(tail));
+        server.shared.store.faults.reads.store(1, Ordering::SeqCst);
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut viewer = RemoteViewer::new(addr, ViewerConfig::loopback(5, 46));
+        let h = std::thread::spawn({
+            let stop = Arc::clone(&stop);
+            move || {
+                let end = viewer.run(&stop);
+                (viewer, end)
+            }
+        });
+        let t0 = Instant::now();
+        while server.counters().cursor_advance < 100 - tail
+            && t0.elapsed() < Duration::from_secs(10)
+        {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let report = server.drain();
+        let (viewer, end) = h.join().expect("viewer");
+        assert_eq!(end, ViewerEnd::Drained);
+        let c = report.counters;
+        assert_eq!((c.frames_delivered, c.frames_shed), (99 - tail, 1));
+        assert_eq!(c.resume_failures, 1, "booked like an eviction");
+        assert_eq!(c.frames_delivered + c.frames_shed, c.cursor_advance);
+        // The placed session is ahead of the viewer's own watermark (0).
+        assert_eq!(viewer.stats().shed, tail + 1);
+        let want: Vec<u64> = (tail + 2..=100).collect();
+        assert_eq!(viewer.applied_seqs(), want.as_slice());
     }
 }

@@ -27,6 +27,7 @@ use climate_adaptive::adaptive::resilience::crc32;
 use climate_adaptive::adaptive::server::{
     FrameServer, RemoteViewer, ServerConfig, ViewerConfig, ViewerEnd,
 };
+use climate_adaptive::ncdf::{AttrValue, Data, Dataset};
 use climate_adaptive::viz::EyeFix;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};
@@ -608,4 +609,107 @@ fn server_writes_the_same_bytes_live_replayed_and_across_a_drain_handoff() {
             crc32(stream)
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// A resume from deep in the spilled part of the window
+// ---------------------------------------------------------------------------
+
+const SPILL_FRAMES: u64 = 200;
+
+/// A full-resolution body of 64 × 512 pressures (≈ 128 KiB, so a ring of
+/// 256 is written through to the server's spill segments) whose eye fix
+/// is unique to ring sequence `seq`.
+fn eye_body(seq: u64) -> Vec<u8> {
+    let (ny, nx) = (64, 512);
+    let mut ds = Dataset::new();
+    ds.set_attr("sim_minutes", AttrValue::F64(seq as f64));
+    ds.set_attr(
+        "domain_lonlat",
+        AttrValue::F64List(vec![80.0, 10.0, 95.0, 25.0]),
+    );
+    let y = ds.add_dim("y", ny).expect("new dim");
+    let x = ds.add_dim("x", nx).expect("new dim");
+    let mut pressure = vec![1000.0f32; ny * nx];
+    pressure[(seq as usize * 7919) % (ny * nx)] = 950.0 - (seq % 40) as f32;
+    ds.add_var("pressure", &[y, x], Data::F32(pressure))
+        .expect("fills its dims");
+    let mut out = Vec::new();
+    ds.encode_into(&mut out);
+    out
+}
+
+/// One `RemoteViewer` over `SPILL_FRAMES` eye bodies on a server retaining
+/// `retention` frames. With `away_after = Some(k)` it applies `k` frames
+/// live, goes away while the rest are published, and resumes from its
+/// watermark; otherwise it follows the whole stream live, closed-loop.
+/// Returns the applied wire sequences and the track's fix bytes.
+fn eye_stream(retention: u64, away_after: Option<u64>) -> (Vec<u64>, Vec<[u8; 32]>) {
+    let server = FrameServer::start(ServerConfig {
+        retention_frames: retention,
+        max_backlog_frames: retention,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = server.addr().expect("remote mode");
+    let stop = std::sync::Arc::new(AtomicBool::new(false));
+    let spawn = |mut viewer: RemoteViewer| {
+        let stop = std::sync::Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let end = viewer.run(&stop);
+            (viewer, end)
+        })
+    };
+    let delivered = |n: u64| {
+        let t0 = Instant::now();
+        while server.counters().frames_delivered < n {
+            assert!(t0.elapsed() < Duration::from_secs(20), "want {n} delivered");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    let mut running = spawn(RemoteViewer::new(addr, ViewerConfig::loopback(3, 11)));
+    wait_connected(&server, 1);
+    let live = away_after.unwrap_or(SPILL_FRAMES);
+    for seq in 0..live {
+        delivered(seq.saturating_sub(8));
+        server.publish(QosRung::FullRes, eye_body(seq));
+    }
+    if away_after.is_some() {
+        delivered(live);
+        // The flag is seen after the next frame, which is applied first.
+        stop.store(true, Ordering::SeqCst);
+        server.publish(QosRung::FullRes, eye_body(live));
+        let (viewer, end) = running.join().expect("viewer thread");
+        assert_eq!(end, ViewerEnd::Stopped);
+        assert_eq!(viewer.last_applied(), live + 1);
+        for seq in live + 1..SPILL_FRAMES {
+            server.publish(QosRung::FullRes, eye_body(seq));
+        }
+        wait_connected(&server, 0);
+        stop.store(false, Ordering::SeqCst);
+        running = spawn(viewer);
+    }
+    delivered(SPILL_FRAMES);
+    let report = server.drain();
+    let (viewer, end) = running.join().expect("viewer thread");
+    assert_eq!(end, ViewerEnd::Drained);
+    let c = report.counters;
+    assert_eq!((c.frames_delivered, c.frames_shed), (SPILL_FRAMES, 0));
+    assert_eq!(c.frames_delivered + c.frames_shed, c.cursor_advance);
+    let fixes = viewer.track().fixes().iter().map(encode_fix).collect();
+    (viewer.applied_seqs().to_vec(), fixes)
+}
+
+#[test]
+fn a_viewer_resuming_deep_in_the_spilled_window_applies_what_an_in_memory_ring_serves() {
+    // 16 × 128 KiB stays resident; 256 × 128 KiB is written through, and
+    // the server keeps only the newest 8 MiB (about 64 frames) in memory, so a
+    // resume from sequence 21 of 200 reads over a hundred frames back
+    // from disk.
+    let in_memory = eye_stream(16, None);
+    let spilled = eye_stream(256, Some(20));
+    let want: Vec<u64> = (1..=SPILL_FRAMES).collect();
+    assert_eq!(in_memory.0, want, "1..=N, once each");
+    assert_eq!(spilled.0, in_memory.0, "applied sequences");
+    assert!(spilled.1 == in_memory.1, "tracks bit-exact");
 }
