@@ -1,37 +1,15 @@
-//! Shared harness for the table/figure reproduction binaries and the
-//! criterion benches.
+//! Harness for the paper's experiments and the criterion benches.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §4 for the index); this library holds the pieces
-//! they share: running the six canonical experiments (3 sites × 2
-//! algorithms), formatting rows the way the paper's axes are labelled,
-//! and writing CSV artifacts under `results/`.
+//! [`repro`] holds the table of experiments that regenerates every table
+//! and figure of the paper (run by the `repro` binary; DESIGN.md §4 is the
+//! index). The two helpers below are for `profiling`, which writes its
+//! measured artefacts directly.
 
-use adaptive_core::decision::AlgorithmKind;
-use adaptive_core::orchestrator::{Orchestrator, RunOutcome};
-use cyclone::{Mission, Site, SiteKind};
+pub mod repro;
+
 use std::path::PathBuf;
-use viz::plot::{Plot, GREEDY_RED, OPTIMIZATION_BLUE};
 
-/// The mission every experiment binary runs: the full 60-hour Aila track.
-pub fn paper_mission() -> Mission {
-    Mission::aila()
-}
-
-/// Run one (site, algorithm) experiment of the full mission.
-pub fn run_one(kind: SiteKind, algo: AlgorithmKind) -> RunOutcome {
-    Orchestrator::new(Site::of_kind(kind), paper_mission(), algo).run()
-}
-
-/// Run the greedy/optimization pair for a site.
-pub fn run_pair(kind: SiteKind) -> (RunOutcome, RunOutcome) {
-    (
-        run_one(kind, AlgorithmKind::GreedyThreshold),
-        run_one(kind, AlgorithmKind::Optimization),
-    )
-}
-
-/// Where result CSVs land (created on demand).
+/// Where result files land (created on demand).
 pub fn results_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
@@ -45,100 +23,4 @@ pub fn write_artifact(name: &str, contents: &str) {
     let path = results_dir().join(name);
     std::fs::write(&path, contents).expect("results file is writable");
     println!("  [wrote {}]", path.display());
-}
-
-/// `HH:MM` label for a wall-clock offset in seconds (the x-axes of
-/// Figures 5–8).
-pub fn wall_label(secs: f64) -> String {
-    let mins = (secs / 60.0).round() as i64;
-    format!("{:02}:{:02}", mins / 60, mins % 60)
-}
-
-/// `DD-May HH:MM` label for simulated minutes (the y-axes of Figures 5/7).
-pub fn sim_label(sim_minutes: f64) -> String {
-    Mission::format_sim_time(sim_minutes)
-}
-
-/// Sample a run's series at regular wall intervals: returns
-/// `(wall_secs, value)` pairs every `every_secs` up to the run's end.
-pub fn sample_series(out: &RunOutcome, series: &str, every_secs: f64) -> Vec<(f64, f64)> {
-    let s = out.series.get(series).expect("known series name");
-    let end = out.wall_hours * 3600.0;
-    let mut rows = Vec::new();
-    let mut t = 0.0;
-    while t <= end + 1e-9 {
-        if let Some(v) = s.value_at(t) {
-            rows.push((t, v));
-        }
-        t += every_secs;
-    }
-    rows
-}
-
-/// Render one figure panel as a PPM line chart (the paper's plot style:
-/// greedy red, optimization blue) and save it under `results/`.
-///
-/// `series_name` selects which recorded series to plot; values are passed
-/// through `map_y`. X values are wall-clock hours.
-pub fn save_panel_plot(
-    file: &str,
-    title: &str,
-    y_label: &str,
-    series_name: &str,
-    greedy: &RunOutcome,
-    opt: &RunOutcome,
-    map_y: impl Fn(f64) -> f64,
-) {
-    let mut plot = Plot::new(title.to_uppercase());
-    plot.x_label = "WALL CLOCK (HOURS)".into();
-    plot.y_label = y_label.to_uppercase();
-    for (label, out, color) in [
-        ("GREEDY-THRESHOLD", greedy, GREEDY_RED),
-        ("OPTIMIZATION", opt, OPTIMIZATION_BLUE),
-    ] {
-        let pts: Vec<(f64, f64)> = sample_series(out, series_name, 900.0)
-            .into_iter()
-            .map(|(t, v)| (t / 3600.0, map_y(v)))
-            .collect();
-        if !pts.is_empty() {
-            plot.add_series(label, pts, color);
-        }
-    }
-    let img = plot.render();
-    let path = results_dir().join(file);
-    img.save_ppm(&path).expect("results dir writable");
-    println!("  [plotted {}]", path.display());
-}
-
-/// One row of the summary table printed by several binaries.
-pub fn outcome_line(out: &RunOutcome) -> String {
-    format!(
-        "{:<16} {:<18} completed={:<5} wall={:>6.1}h sim={} frames(w/s/v)={}/{}/{} \
-         restarts={} stalls={} minfree={:>5.1}% endfree={:>5.1}%",
-        out.site_label,
-        out.algorithm.label(),
-        out.completed,
-        out.wall_hours,
-        sim_label(out.sim_minutes),
-        out.frames_written,
-        out.frames_shipped,
-        out.frames_rendered,
-        out.restarts,
-        out.stalls,
-        out.min_free_disk_pct,
-        out.final_free_disk_pct,
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn labels_format_like_the_paper() {
-        assert_eq!(wall_label(0.0), "00:00");
-        assert_eq!(wall_label(2.5 * 3600.0), "02:30");
-        assert_eq!(wall_label(26.0 * 3600.0), "26:00");
-        assert_eq!(sim_label(15.0 * 60.0), "23-May 09:00");
-    }
 }
