@@ -1,15 +1,14 @@
 //! Overload-safe frame fan-out broker — the serving tier between one
 //! simulation's frame stream and 10^5 remote viewers.
 //!
-//! The paper's pipeline ends at a handful of known receivers
-//! ([`crate::fanout`] broadcasts to three sites). This module models the
-//! next tier out: a broker that multiplexes the stream to an *open*
-//! population of client sessions, each with its own resume-from-last-ack
-//! cursor (the AHL2 handshake of [`crate::net_transport`]) and its own
-//! QoS ladder rung ([`crate::qos`]). The interesting regime is overload —
-//! a mass reconnect after a WAN outage, a thundering herd at startup, a
-//! flapping client squad — and the broker's job is to degrade *by policy*
-//! instead of collapsing:
+//! The paper's pipeline ends at one visualization site. This module
+//! models the next tier out: a broker that multiplexes the stream to an
+//! *open* population of client sessions, each with its own
+//! resume-from-last-ack cursor (the AHL2 hello of [`crate::server`]) and
+//! its own QoS ladder rung ([`crate::qos`]). The interesting regime is
+//! overload — a mass reconnect after a WAN outage, a thundering herd at
+//! startup, a flapping client squad — and the broker's job is to degrade
+//! *by policy* instead of collapsing:
 //!
 //! - **Admission control** ([`AdmissionGate`]): a token bucket with a
 //!   virtual FIFO queue. Overflow admissions are not dropped, they are
@@ -35,14 +34,11 @@
 
 pub mod loadgen;
 
-use crate::engine::FrameTransport;
 use crate::fault::SplitMix64;
 use crate::qos::{QosConfig, QosLadder, QosRung, QosSignals};
 use crate::resilience::BackoffPolicy;
 use des::{Scheduler, Series, SeriesSet, SimTime};
 use resources::SharedLink;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// A client within this many frames of the head is "live" (served from
 /// the live pot); beyond it, it is catching up (paced, capped share).
@@ -405,6 +401,13 @@ impl BrokerConfig {
             seed,
             scenario,
         }
+    }
+
+    /// Modeled second at which a run stops whatever production and
+    /// pending events would still keep alive: no tick and no flap drop is
+    /// scheduled at or past it.
+    fn safety_horizon_secs(&self) -> f64 {
+        self.horizon_secs * 10.0 + 3600.0
     }
 
     fn validate(&self) {
@@ -846,10 +849,14 @@ fn handle_admit(w: &mut World, id: usize, now: f64, sched: &mut Scheduler<Ev>) {
             w.connected_count += 1;
             w.counters.peak_connected = w.counters.peak_connected.max(w.connected_count);
             if let Some(period) = w.clients[id].flap_period {
-                sched.schedule_at(
-                    SimTime::from_secs(now + period),
-                    Ev::FlapDrop { client: id },
-                );
+                // A flapper whose breaker never trips would otherwise
+                // re-arm drop → re-admit → drop forever.
+                if now + period < w.cfg.safety_horizon_secs() {
+                    sched.schedule_at(
+                        SimTime::from_secs(now + period),
+                        Ev::FlapDrop { client: id },
+                    );
+                }
             }
         }
     }
@@ -1068,9 +1075,8 @@ fn handle_tick(w: &mut World, now: f64, sched: &mut Scheduler<Ev>) {
         .clients
         .iter()
         .any(|c| c.phase == Phase::Connected && c.cursor < head);
-    let max_wall = w.cfg.horizon_secs * 10.0 + 3600.0;
     if (now < w.cfg.horizon_secs || !sched.is_empty() || work_left)
-        && now + w.cfg.tick_secs < max_wall
+        && now + w.cfg.tick_secs < w.cfg.safety_horizon_secs()
     {
         sched.schedule_in(w.cfg.tick_secs, Ev::Tick);
     }
@@ -1166,68 +1172,9 @@ pub fn run_broker(cfg: BrokerConfig) -> BrokerOutcome {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Transport integration
-// ---------------------------------------------------------------------------
-
-/// A [`FrameTransport`] tee that records every parked frame into a shared
-/// [`FrameLog`], making any live pipeline's frame stream replayable by
-/// broker client cursors while delegating all transport behavior to the
-/// wrapped implementation.
-pub struct BrokerTransport<T: FrameTransport> {
-    inner: T,
-    log: Rc<RefCell<FrameLog>>,
-}
-
-impl<T: FrameTransport> BrokerTransport<T> {
-    /// Wrap `inner`, teeing frames into `log`.
-    pub fn new(inner: T, log: Rc<RefCell<FrameLog>>) -> Self {
-        Self { inner, log }
-    }
-
-    /// The shared frame log handle.
-    pub fn log(&self) -> Rc<RefCell<FrameLog>> {
-        Rc::clone(&self.log)
-    }
-}
-
-impl<T: FrameTransport> FrameTransport for BrokerTransport<T> {
-    fn emit(
-        &mut self,
-        model: &wrf::WrfModel,
-        sim_min: f64,
-        modeled_bytes: u64,
-        rung: QosRung,
-    ) -> (u64, Vec<u8>) {
-        self.inner.emit(model, sim_min, modeled_bytes, rung)
-    }
-
-    fn decision_frame_bytes(&self, modeled_bytes: u64) -> u64 {
-        self.inner.decision_frame_bytes(modeled_bytes)
-    }
-
-    fn park(&mut self, id: u64, sim_min: f64, payload: Vec<u8>) {
-        self.log.borrow_mut().append();
-        self.inner.park(id, sim_min, payload);
-    }
-
-    fn deliver(&mut self, id: u64, sim_min: f64) -> bool {
-        self.inner.deliver(id, sim_min)
-    }
-
-    fn applied_watermark(&self) -> u64 {
-        self.inner.applied_watermark()
-    }
-
-    fn finish(&mut self) -> viz::TrackLog {
-        self.inner.finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ModeledTransport;
     use proptest::prelude::*;
     use std::collections::VecDeque;
 
@@ -1561,18 +1508,5 @@ mod tests {
             },
         );
         run_broker(BrokerConfig::new(0, scenario));
-    }
-
-    #[test]
-    fn broker_transport_tees_parked_frames_into_the_log() {
-        let log = Rc::new(RefCell::new(FrameLog::new(10, 4)));
-        let mut t = BrokerTransport::new(ModeledTransport, Rc::clone(&log));
-        for seq in 0..6u64 {
-            t.park(seq, seq as f64, Vec::new());
-            assert!(t.deliver(seq, seq as f64));
-        }
-        let log = log.borrow();
-        assert_eq!(log.head(), 6);
-        assert_eq!(log.tail(), 2, "ring evicts beyond retention");
     }
 }

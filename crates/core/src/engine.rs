@@ -170,12 +170,6 @@ pub struct PipelineCounters {
     /// Frames replayed (pushed back to the queue and re-sent) after a
     /// lost connection.
     pub replays: u64,
-    /// Sends abandoned because a sender's retry *wall-clock* budget
-    /// ([`crate::resilience::BackoffPolicy::with_max_total_delay`]) ran
-    /// out. Live socket transports surface a permanently dead receiver
-    /// here in bounded time; the modeled transport parks frames during an
-    /// outage instead of spinning a sender, so DES runs report 0.
-    pub retry_budget_exhausted: u64,
     /// Decision epochs that ran under a badly degraded link (measured
     /// bandwidth below a quarter of the best seen) — the store-and-
     /// forward regime where the manager widens the output interval
@@ -220,7 +214,6 @@ impl Default for PipelineCounters {
             crashes: 0,
             reconnects: 0,
             replays: 0,
-            retry_budget_exhausted: 0,
             degraded_epochs: 0,
             recoveries: 0,
             journal_replays: 0,
@@ -1707,7 +1700,6 @@ where
             crashes: world.base_crashes + world.crashes,
             reconnects: world.reconnects,
             replays: world.replays,
-            retry_budget_exhausted: 0,
             degraded_epochs: world.manager.degraded_epochs() as u64,
             recoveries: world.recoveries,
             journal_replays: world.journal_replays,

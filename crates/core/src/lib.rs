@@ -47,7 +47,6 @@ pub mod chaos;
 pub mod config;
 pub mod decision;
 pub mod engine;
-pub mod fanout;
 pub mod fault;
 pub mod fleet;
 pub mod jobhandler;

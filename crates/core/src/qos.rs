@@ -28,7 +28,7 @@
 //!
 //! The rung travels with each frame (a one-byte tag on channel/in-process
 //! payloads, a header field on the TCP wire — see
-//! [`crate::net_transport`]), so receivers decode correctly whatever mix
+//! [`crate::net_transport`]), so viewers decode correctly whatever mix
 //! of rungs a run produced.
 
 use ncdf::{codec, AttrValue, Data, Dataset, DatasetView};

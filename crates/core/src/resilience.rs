@@ -1,23 +1,16 @@
-//! Self-healing frame transport: checksums, backoff, and the resilient
-//! sender.
+//! Checksums and backoff: the two pieces of transport self-healing that
+//! both serving tiers share.
 //!
-//! The v3 wire protocol (see [`crate::net_transport`]) gives every frame
-//! a sequence number, a CRC, and a degradation-rung byte, and every ack
-//! carries the receiver's
-//! *last applied* sequence. That is enough to make the sender's recovery
-//! loop simple and exactly-once from the visualization's point of view:
-//!
-//! - on any I/O error the sender reconnects with seeded exponential
-//!   backoff plus jitter,
-//! - the receiver's handshake reports the last sequence it applied, so
-//!   the sender resumes from there — frames the receiver already has are
-//!   acknowledged without being re-applied (dedup), frames it lost are
-//!   replayed,
-//! - a frame is retired only when an ack covering its sequence arrives.
+//! - [`crc32`] guards every frame body on the wire (and the journal and
+//!   snapshot containers through [`resources::crc32`]),
+//! - [`BackoffPolicy`] spaces a reconnecting client's retries: seeded
+//!   exponential backoff plus jitter, bounded by attempts and by a total
+//!   wall-clock budget. The socket viewer
+//!   ([`crate::server::RemoteViewer`]) draws its retries from the
+//!   sequential stream; the modeled broker ([`crate::broker`]) draws each
+//!   client's from the pure per-client stream, so a DES replay is
+//!   bit-for-bit.
 
-use crate::net_transport::{FrameSender, TransportError};
-use crate::qos::QosRung;
-use std::net::SocketAddr;
 use std::time::Duration;
 
 /// IEEE 802.3 CRC-32 (the zlib/PNG polynomial).
@@ -175,170 +168,6 @@ impl BackoffPolicy {
     }
 }
 
-/// Transport statistics the resilient sender accumulates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SenderStats {
-    /// Frames handed to [`ResilientSender::send`] and eventually covered
-    /// by an ack.
-    pub frames_acked: u64,
-    /// Successful re-establishments of a dropped connection.
-    pub reconnects: u64,
-    /// Frame transmissions beyond the first attempt (replays after a
-    /// failure) — includes frames the receiver deduplicated.
-    pub replays: u64,
-    /// Frames the receiver reported as already applied (resume-from-ack
-    /// skipped re-applying them).
-    pub deduplicated: u64,
-    /// Sends abandoned because the retry *wall-clock* budget
-    /// ([`BackoffPolicy::with_max_total_delay`]) ran out — a permanently
-    /// dead receiver surfaces here in bounded time.
-    pub retry_budget_exhausted: u64,
-}
-
-/// A [`FrameSender`] wrapper that survives receiver restarts.
-///
-/// The address is supplied by a closure so a restarted receiver may come
-/// back on a different port (tests do exactly that); `send` blocks until
-/// the frame is covered by an ack or the backoff budget is exhausted.
-pub struct ResilientSender<A: FnMut() -> SocketAddr> {
-    addr: A,
-    conn: Option<FrameSender>,
-    ever_connected: bool,
-    next_seq: u64,
-    backoff: BackoffPolicy,
-    io_timeout: Duration,
-    stats: SenderStats,
-}
-
-impl<A: FnMut() -> SocketAddr> ResilientSender<A> {
-    /// New sender over an address provider. No connection is made until
-    /// the first `send`.
-    pub fn new(addr: A, backoff: BackoffPolicy) -> Self {
-        ResilientSender {
-            addr,
-            conn: None,
-            ever_connected: false,
-            next_seq: 1,
-            backoff,
-            io_timeout: Duration::from_secs(5),
-            stats: SenderStats::default(),
-        }
-    }
-
-    /// Builder: socket connect/read/write timeout.
-    pub fn with_io_timeout(mut self, t: Duration) -> Self {
-        self.io_timeout = t;
-        self
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> SenderStats {
-        self.stats
-    }
-
-    /// Sequence number the next frame will carry.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    fn connection(&mut self) -> Result<&mut FrameSender, TransportError> {
-        if self.conn.is_none() {
-            let addr = (self.addr)();
-            let reattempt = self.ever_connected;
-            // Mark the attempt *before* connecting: a torn or garbage
-            // handshake is a connection event too, so the establishment
-            // that follows it counts as a reconnect, not a first contact.
-            self.ever_connected = true;
-            let sender = FrameSender::connect_with_timeout(addr, self.io_timeout)?;
-            if reattempt {
-                // Re-establishment, not the first connection of the run.
-                self.stats.reconnects += 1;
-            }
-            self.conn = Some(sender);
-        }
-        Ok(self.conn.as_mut().expect("just inserted"))
-    }
-
-    /// Ship one frame with at-least-once delivery and exactly-once
-    /// application: retries with backoff across connection failures, and
-    /// relies on the receiver's last-applied handshake/acks to skip
-    /// frames that already landed.
-    ///
-    /// Returns the sequence number the frame was assigned.
-    pub fn send(&mut self, payload: &[u8]) -> Result<u64, TransportError> {
-        self.send_rung(QosRung::FullRes, payload)
-    }
-
-    /// [`Self::send`] at an explicit degradation rung: the rung byte
-    /// rides in every (re)transmission's header, so a replay after a
-    /// reconnect is still decoded the way the original would have been.
-    pub fn send_rung(&mut self, rung: QosRung, payload: &[u8]) -> Result<u64, TransportError> {
-        let seq = self.next_seq;
-        let mut attempt = 0u32;
-        let mut first_try = true;
-        loop {
-            let result = self.try_once(seq, rung, payload, first_try);
-            match result {
-                Ok(deduped) => {
-                    self.next_seq = seq + 1;
-                    self.stats.frames_acked += 1;
-                    if deduped {
-                        self.stats.deduplicated += 1;
-                    }
-                    return Ok(seq);
-                }
-                Err(e @ TransportError::BadFrame(_)) => {
-                    // The payload itself is unacceptable; replaying the
-                    // same bytes cannot succeed.
-                    return Err(e);
-                }
-                Err(e) => {
-                    self.conn = None;
-                    attempt += 1;
-                    if attempt >= self.backoff.max_attempts() {
-                        return Err(e);
-                    }
-                    match self.backoff.checked_delay(attempt - 1) {
-                        Some(d) => std::thread::sleep(d),
-                        None => {
-                            // Wall-clock retry budget exhausted: give up
-                            // in bounded time even though attempts remain.
-                            self.stats.retry_budget_exhausted += 1;
-                            return Err(e);
-                        }
-                    }
-                    first_try = false;
-                }
-            }
-        }
-    }
-
-    /// One attempt: ensure a connection, then either dedup against the
-    /// receiver's last-applied sequence or transmit. `Ok(true)` means the
-    /// receiver already had the frame.
-    fn try_once(
-        &mut self,
-        seq: u64,
-        rung: QosRung,
-        payload: &[u8],
-        first_try: bool,
-    ) -> Result<bool, TransportError> {
-        let replay = !first_try;
-        if self.connection()?.peer_last_applied() >= seq {
-            // The previous transmission landed; only the ack was lost.
-            return Ok(true);
-        }
-        if replay {
-            self.stats.replays += 1;
-        }
-        self.conn
-            .as_mut()
-            .expect("connected above")
-            .send_seq_rung(seq, rung, payload)?;
-        Ok(false)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,34 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn resilient_sender_counts_retry_budget_exhaustion() {
-        use std::net::TcpListener;
-        // A listener that never accepts: loopback connects land in the
-        // backlog but no hello ever arrives, so every attempt times out —
-        // and the wall budget (not the 1000-attempt bound) ends the send.
-        let dead = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
-        let addr = dead.local_addr().expect("addr");
-        let mut sender = ResilientSender::new(
-            move || addr,
-            BackoffPolicy::new(21)
-                .with_base(Duration::from_millis(10))
-                .with_cap(Duration::from_millis(20))
-                .with_max_attempts(1000)
-                .with_max_total_delay(Duration::from_millis(100)),
-        )
-        .with_io_timeout(Duration::from_millis(100));
-        let started = std::time::Instant::now();
-        let err = sender.send(b"doomed").unwrap_err();
-        assert!(!matches!(err, TransportError::BadFrame(_)), "I/O, not nack");
-        assert_eq!(sender.stats().retry_budget_exhausted, 1);
-        assert_eq!(sender.stats().frames_acked, 0);
-        assert!(
-            started.elapsed() < Duration::from_secs(30),
-            "exhaustion must arrive in bounded wall time"
-        );
-    }
-
-    #[test]
     fn client_delay_is_pure_and_replayable() {
         let p = BackoffPolicy::new(99);
         // Same (seed, client, attempt) → same delay, and asking does not
@@ -555,55 +356,5 @@ mod tests {
             assert!(d <= cap, "attempt {attempt}: {d:?} exceeds the cap");
             assert!(d >= cap / 2, "attempt {attempt}: {d:?} below half the cap");
         }
-    }
-
-    #[test]
-    fn resilient_sender_resumes_after_mid_handshake_disconnect() {
-        use crate::net_transport::FrameReceiver;
-        use std::io::Write as _;
-        use std::net::TcpListener;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-
-        // A saboteur endpoint that accepts the connection, writes only
-        // half the handshake hello, then slams the connection shut —
-        // the sender is disconnected *mid-handshake*.
-        let saboteur = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
-        let saboteur_addr = saboteur.local_addr().expect("addr");
-        let sab_thread = std::thread::spawn(move || {
-            if let Ok((mut stream, _)) = saboteur.accept() {
-                stream.write_all(b"AHL2\x01\x02").ok(); // 6 of 12 bytes
-                                                        // dropped here: mid-handshake reset
-            }
-        });
-
-        let receiver = FrameReceiver::start().expect("bind real receiver");
-        let real_addr = receiver.addr();
-        let calls = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&calls);
-        let mut sender = ResilientSender::new(
-            move || {
-                // First connection goes to the saboteur, retries go to
-                // the real receiver that came back.
-                if c.fetch_add(1, Ordering::SeqCst) == 0 {
-                    saboteur_addr
-                } else {
-                    real_addr
-                }
-            },
-            BackoffPolicy::new(42).with_base(Duration::from_millis(5)),
-        )
-        .with_io_timeout(Duration::from_millis(500));
-
-        let model = wrf::WrfModel::new(wrf::ModelConfig::aila_default().with_decimation(16))
-            .expect("valid");
-        let seq = sender
-            .send(&model.frame().to_bytes())
-            .expect("recovered from the torn handshake");
-        assert_eq!(seq, 1);
-        assert_eq!(sender.stats().frames_acked, 1);
-        assert!(calls.load(Ordering::SeqCst) >= 2, "retried past the tear");
-        assert_eq!(receiver.frames_received(), 1, "frame landed after resume");
-        sab_thread.join().expect("saboteur exits");
     }
 }

@@ -10,13 +10,12 @@
 //! mid-handshake resets (which `tests/server_soak.rs` injects through
 //! the seeded [`toxic`] proxy).
 //!
-//! ## Wire protocol (serving extensions over v3)
+//! ## Wire protocol
 //!
-//! The frame and ack framing is byte-identical to
-//! [`crate::net_transport`] v3 (`AFR3` header with seq / length / CRC-32
-//! / rung byte; 9-byte `+`-status acks). The serving tier adds a client
-//! hello and an admission response in front of it, and one control
-//! frame:
+//! Frames and acks use the codec of [`crate::net_transport`] (`AFR3`
+//! header with seq / length / CRC-32 / rung byte; 9-byte `+`-status
+//! acks). In front of them the serving tier puts a client hello and an
+//! admission verdict, and it adds one control frame:
 //!
 //! ```text
 //! client hello (client → server, once per connection):
@@ -32,25 +31,25 @@
 //!         kind 1 = DRAIN — value is the client's resume cursor
 //! ```
 //!
-//! Wire sequences are 1-based like v3 (`0` = nothing applied), so a
+//! Wire sequences are 1-based (`0` = nothing applied), so a
 //! frame at ring sequence `s` travels with wire sequence `s + 1` and a
 //! client whose last-applied is `c` holds ring cursor `c`.
 //!
 //! ## Robustness posture
 //!
 //! Every wire path is bounded: the client hello is read under one
-//! overall handshake deadline (via the same deadline loop the sender
-//! handshake uses, so a trickled hello cannot stretch it), frame writes
-//! carry a write deadline, and acks an ack deadline. A deadline miss is
-//! a *slow-client stall*: the breaker records a failure and the session's
-//! backlog is handled by the configured [`ShedPolicy`] — `DropOldest`
-//! keeps the cursor for resume, `DemoteToTrackOnly` pins the session to
-//! fix-sized frames, `Disconnect` sheds the whole backlog to the head so
-//! a kicked laggard cannot re-kick itself forever. Graceful drain stops
-//! admissions, finishes serving every retained frame to connected
-//! clients (still under the write deadlines), hands each a `DRAIN`
-//! control carrying its resume cursor, and returns the cursor map so a
-//! replacement server can be started at the same ring position with
+//! overall handshake deadline (the same deadline loop the viewer reads
+//! its verdict and frames with, so a trickled hello cannot stretch it),
+//! frame writes carry a write deadline, and acks an ack deadline. A
+//! deadline miss is a *slow-client stall*: the breaker records a failure
+//! and the session's backlog is handled by the configured [`ShedPolicy`]:
+//! `DropOldest` keeps the cursor for resume, `DemoteToTrackOnly` pins the
+//! session to fix-sized frames, `Disconnect` sheds the whole backlog to
+//! the head so a kicked laggard cannot re-kick itself forever. Graceful
+//! drain stops admissions, finishes serving every retained frame to
+//! connected clients (still under the write deadlines), hands each a
+//! `DRAIN` control carrying its resume cursor, and returns the cursor map
+//! so a replacement server can be started at the same ring position with
 //! [`FrameServer::start_resuming`].
 //!
 //! A frame's checksum is a property of its ring entry: [`FrameServer::publish`]
@@ -106,6 +105,15 @@ const ADMIT_DRAIN: u8 = b'#';
 
 const HELLO_BYTES: usize = 20;
 const ACK_BYTES: usize = 9;
+
+/// The client hello: `AHL2 | u64 LE client id | u64 LE last-applied`.
+fn encode_hello(client_id: u64, last_applied: u64) -> [u8; HELLO_BYTES] {
+    let mut hello = [0u8; HELLO_BYTES];
+    hello[..4].copy_from_slice(HANDSHAKE_MAGIC);
+    hello[4..12].copy_from_slice(&client_id.to_le_bytes());
+    hello[12..20].copy_from_slice(&last_applied.to_le_bytes());
+    hello
+}
 
 /// How long accept/serve loops sleep when idle before re-checking flags.
 const IDLE_TICK: Duration = Duration::from_millis(5);
@@ -1367,10 +1375,11 @@ impl LocalViewer {
 use crate::engine::FrameTransport;
 use wrf::WrfModel;
 
-/// A [`FrameTransport`] tee publishing every parked frame's encoded body
-/// into a [`FrameServer`]'s ring, while delegating all pipeline
-/// semantics to the wrapped transport — the wire-tier sibling of
-/// [`crate::broker::BrokerTransport`].
+/// The pipeline's one tee: a [`FrameTransport`] publishing every parked
+/// frame's encoded body into a [`FrameServer`]'s ring, while delegating
+/// all pipeline semantics to the wrapped transport. The modeled broker
+/// ([`crate::broker`]) needs no tee — it generates its own frame stream
+/// on the DES clock.
 pub struct ServingTransport<T: FrameTransport> {
     inner: T,
     server: Arc<FrameServer>,
@@ -1628,11 +1637,7 @@ impl RemoteViewer {
         stream.set_write_timeout(Some(self.cfg.io_timeout))?;
 
         // Hello + admission.
-        let mut hello = [0u8; HELLO_BYTES];
-        hello[..4].copy_from_slice(HANDSHAKE_MAGIC);
-        hello[4..12].copy_from_slice(&self.cfg.client_id.to_le_bytes());
-        hello[12..20].copy_from_slice(&self.last_applied.to_le_bytes());
-        stream.write_all(&hello)?;
+        stream.write_all(&encode_hello(self.cfg.client_id, self.last_applied))?;
         let mut admission = [0u8; ACK_BYTES];
         read_exact_deadline(&mut stream, &mut admission, self.cfg.io_timeout)?;
         let value = u64::from_le_bytes(admission[1..9].try_into().expect("8 bytes"));
@@ -1987,10 +1992,7 @@ mod tests {
         server.publish(QosRung::TrackOnly, fix_body(0));
         // A hand-rolled client that connects, hellos, then never acks.
         let mut stream = TcpStream::connect(addr).expect("connect");
-        let mut hello = [0u8; HELLO_BYTES];
-        hello[..4].copy_from_slice(HANDSHAKE_MAGIC);
-        hello[4..12].copy_from_slice(&77u64.to_le_bytes());
-        stream.write_all(&hello).expect("hello");
+        stream.write_all(&encode_hello(77, 0)).expect("hello");
         stream
             .set_read_timeout(Some(Duration::from_secs(2)))
             .expect("timeout");
@@ -2036,11 +2038,7 @@ mod tests {
                 server.publish(QosRung::TrackOnly, fix_body(round * 8 + i));
             }
             let mut stream = TcpStream::connect(addr).expect("connect");
-            let mut hello = [0u8; HELLO_BYTES];
-            hello[..4].copy_from_slice(HANDSHAKE_MAGIC);
-            hello[4..12].copy_from_slice(&5u64.to_le_bytes());
-            hello[12..20].copy_from_slice(&1u64.to_le_bytes());
-            stream.write_all(&hello).expect("hello");
+            stream.write_all(&encode_hello(5, 1)).expect("hello");
             stream
                 .set_read_timeout(Some(Duration::from_secs(2)))
                 .expect("timeout");
@@ -2123,10 +2121,7 @@ mod tests {
         let shared = Arc::clone(&server.shared);
         shared.draining.store(true, Ordering::SeqCst);
         let mut stream = TcpStream::connect(addr).expect("connect");
-        let mut hello = [0u8; HELLO_BYTES];
-        hello[..4].copy_from_slice(HANDSHAKE_MAGIC);
-        hello[4..12].copy_from_slice(&1u64.to_le_bytes());
-        stream.write_all(&hello).expect("hello");
+        stream.write_all(&encode_hello(1, 0)).expect("hello");
         stream
             .set_read_timeout(Some(Duration::from_secs(2)))
             .expect("timeout");
@@ -2161,13 +2156,9 @@ mod tests {
             .expect("sessions lock")
             .insert(9, Session::new(head + 5));
         let mut stream = TcpStream::connect(addr).expect("connect");
-        let mut hello = [0u8; HELLO_BYTES];
-        hello[..4].copy_from_slice(HANDSHAKE_MAGIC);
-        hello[4..12].copy_from_slice(&9u64.to_le_bytes());
         // An applied watermark between the snapshot and the cursor:
         // exactly the inverted clamp bounds.
-        hello[12..20].copy_from_slice(&(head + 3).to_le_bytes());
-        stream.write_all(&hello).expect("hello");
+        stream.write_all(&encode_hello(9, head + 3)).expect("hello");
         stream
             .set_read_timeout(Some(Duration::from_secs(2)))
             .expect("timeout");

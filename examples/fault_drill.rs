@@ -4,10 +4,11 @@
 //! scripted `FaultPlan` — a WAN collapse, a flapping link, external disk
 //! pressure, a receiver outage, and a simulation crash — and prints the
 //! recovery counters next to a fault-free control run. Part two runs the
-//! transport daemons on real sockets: a receiver is killed mid-frame,
-//! restarted on a *different* port, and the `ResilientSender` reconnects
-//! with backoff and replays the unacknowledged frames until the remote
-//! track is byte-identical to an unfaulted transfer.
+//! serving tier on real sockets: a `FrameServer` is dropped without a
+//! drain while a frame is in flight, a replacement resumes the ring on a
+//! *different* port and republishes the durable frames, and the
+//! re-pointed `RemoteViewer` resumes from its own watermark until the
+//! remote track is byte-identical to an unfaulted serve.
 //!
 //! Part three is the recovery drill: the *live* online pipeline runs
 //! with durable state, is hard-killed at a scripted wall hour, and is
@@ -47,14 +48,17 @@
 use climate_adaptive::adaptive::chaos;
 use climate_adaptive::adaptive::decision::AlgorithmKind;
 use climate_adaptive::adaptive::engine::PhysicsThreads;
-use climate_adaptive::adaptive::net_transport::{FrameReceiver, ReceiverOptions};
 use climate_adaptive::adaptive::online::{run_online, OnlineOptions};
 use climate_adaptive::adaptive::orchestrator::{Fault, FaultPlan, Orchestrator};
+use climate_adaptive::adaptive::qos::QosRung;
 use climate_adaptive::adaptive::recovery::{run_with_recovery, DurabilityOptions};
-use climate_adaptive::adaptive::resilience::{BackoffPolicy, ResilientSender};
+use climate_adaptive::adaptive::server::{
+    FrameServer, RemoteViewer, ServerConfig, ViewerConfig, ViewerEnd,
+};
 use climate_adaptive::prelude::*;
 use climate_adaptive::wrf;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
@@ -381,9 +385,12 @@ fn des_drill() {
     println!();
 }
 
-/// Kill the receiver mid-frame, restart it elsewhere, heal, compare.
+/// Drop the frame server mid-stream, start a replacement elsewhere, heal,
+/// compare.
 fn transport_drill() {
-    println!("== transport drill: receiver killed after 3 frames, restarted on a new port ==");
+    println!(
+        "== transport drill: server dropped with frame 3 in flight, replaced on a new port =="
+    );
     let payloads: Vec<Vec<u8>> = {
         let mut model = wrf::WrfModel::new(wrf::ModelConfig::aila_default().with_decimation(16))
             .expect("valid config");
@@ -396,66 +403,98 @@ fn transport_drill() {
             })
             .collect()
     };
-
-    // Control: a healthy receiver, for the byte-identity check.
-    let control_rx = FrameReceiver::start().expect("bind");
-    let control_addr = control_rx.addr();
-    let mut control_tx = ResilientSender::new(move || control_addr, BackoffPolicy::new(7));
-    for p in &payloads {
-        control_tx.send(p).expect("healthy send");
-    }
-    let control_track = control_rx.shutdown().to_csv();
-
-    // Drill: die after fully receiving frame 3, before applying or acking it.
-    let rx1 = FrameReceiver::start_with(ReceiverOptions {
-        kill_after_frames: Some(3),
-        ..Default::default()
-    })
-    .expect("bind");
-    let addr = Arc::new(Mutex::new(rx1.addr()));
-
-    let watcher_addr = Arc::clone(&addr);
-    let watcher = std::thread::spawn(move || {
-        while !rx1.is_finished() {
+    let cfg = || ServerConfig {
+        handshake_deadline: Duration::from_millis(500),
+        write_deadline: Duration::from_millis(500),
+        ack_deadline: Duration::from_millis(500),
+        ..ServerConfig::default()
+    };
+    let stop = Arc::new(AtomicBool::new(false));
+    let spawn = |mut viewer: RemoteViewer| {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let end = viewer.run(&stop);
+            (viewer, end)
+        })
+    };
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let t0 = std::time::Instant::now();
+        while !done() {
+            assert!(t0.elapsed() < Duration::from_secs(10), "{what}");
             std::thread::sleep(Duration::from_millis(2));
         }
-        let resume_seq = rx1.last_applied();
-        let resume_track = rx1.shutdown();
-        println!("receiver died; last applied seq = {resume_seq}; restarting...");
-        let rx2 = FrameReceiver::start_with(ReceiverOptions {
-            resume_track,
-            resume_seq,
-            kill_after_frames: None,
-        })
-        .expect("rebind");
-        *watcher_addr.lock().expect("lock") = rx2.addr();
-        rx2
-    });
+    };
+    let wait_connected =
+        |server: &FrameServer| wait_for("viewer admitted", &|| server.connected() > 0);
 
-    let sender_addr = Arc::clone(&addr);
-    let mut tx = ResilientSender::new(
-        move || *sender_addr.lock().expect("lock"),
-        BackoffPolicy::new(11)
-            .with_base(Duration::from_millis(20))
-            .with_max_attempts(12),
-    )
-    .with_io_timeout(Duration::from_millis(300));
+    // Control: a healthy server, for the byte-identity check.
+    let control = FrameServer::start(cfg()).expect("bind");
+    let running = spawn(RemoteViewer::new(
+        control.addr().expect("remote"),
+        ViewerConfig::loopback(1, 7),
+    ));
+    wait_connected(&control);
     for p in &payloads {
-        tx.send(p).expect("heal and deliver");
+        control.publish(QosRung::FullRes, p.clone());
     }
-    let rx2 = watcher.join().expect("watcher");
-    let stats = tx.stats();
+    control.drain();
+    let (viewer, end) = running.join().expect("viewer");
+    assert_eq!(end, ViewerEnd::Drained);
+    let control_track = viewer.track().to_csv();
+
+    // Drill: frames 1-2 acknowledged, frame 3 published, then the server
+    // is dropped without a drain.
+    let server1 = FrameServer::start(cfg()).expect("bind");
+    let addr1 = server1.addr().expect("remote");
+    let running = spawn(RemoteViewer::new(addr1, ViewerConfig::loopback(1, 11)));
+    wait_connected(&server1);
+    for p in &payloads[..2] {
+        server1.publish(QosRung::FullRes, p.clone());
+    }
+    wait_for("frames 1-2 acknowledged", &|| {
+        server1.counters().frames_delivered >= 2
+    });
+    let released = server1.counters().frames_delivered;
+    server1.publish(QosRung::FullRes, payloads[2].clone());
+    drop(server1);
+
+    // A replacement resumes the ring where the simulation site released
+    // frames and republishes the durable rest.
+    let server2 = FrameServer::start_resuming(cfg(), released).expect("rebind");
+    let addr2 = server2.addr().expect("remote");
+    for p in &payloads[released as usize..3] {
+        server2.publish(QosRung::FullRes, p.clone());
+    }
+    stop.store(true, Ordering::SeqCst);
+    let (mut viewer, _) = running.join().expect("viewer");
     println!(
-        "sender healed: {} frames acked, {} reconnects, {} replays, {} deduplicated",
-        stats.frames_acked, stats.reconnects, stats.replays, stats.deduplicated
+        "server on {addr1} dropped; viewer watermark = {}; replacement on {addr2} resumes at {released}",
+        viewer.last_applied()
     );
+    viewer.set_addr(addr2);
+    stop.store(false, Ordering::SeqCst);
+    let running = spawn(viewer);
+    wait_connected(&server2);
+    for p in &payloads[3..] {
+        server2.publish(QosRung::FullRes, p.clone());
+    }
+    let report = server2.drain();
+    let (viewer, end) = running.join().expect("viewer");
+    assert_eq!(end, ViewerEnd::Drained);
+    let stats = viewer.stats();
     println!(
-        "receiver end state: last applied seq = {}",
-        rx2.last_applied()
+        "viewer healed: {} frames applied, {} reconnects, {} deduplicated, {} shed",
+        stats.delivered, stats.reconnects, stats.deduped, stats.shed
     );
 
-    let healed_track = rx2.shutdown().to_csv();
-    assert_eq!(healed_track, control_track, "tracks must be byte-identical");
-    assert!(stats.reconnects >= 1 && stats.replays >= 1);
-    println!("remote track is byte-identical to the fault-free transfer ✓");
+    assert_eq!(
+        viewer.track().to_csv(),
+        control_track,
+        "tracks must be byte-identical"
+    );
+    assert!(stats.reconnects >= 1);
+    assert_eq!((stats.shed, report.counters.frames_shed), (0, 0));
+    assert_eq!(viewer.applied_seqs(), [1, 2, 3, 4, 5, 6], "each frame once");
+    println!("remote track is byte-identical to the fault-free serve ✓");
+    println!();
 }

@@ -3,9 +3,9 @@
 //! Every case below is one deterministic `run_broker` call — the four
 //! `loadgen` shapes, link sags, repeated outages and a composed storm,
 //! under each `ShedPolicy` the scenario can reach, two seeds, 200–2 000
-//! clients, and breaker settings (`trip_after` 1, 2, 3, 5 against 60 s to
-//! 1 200 s windows) under which failure histories fill, expire and trip —
-//! pinned to its whole outcome: all sixteen `BrokerCounters`, the bit
+//! clients, and breaker settings (`trip_after` 1, 2, 3, 5 against 30 s to
+//! 1 200 s windows) under which failure histories fill, expire, trip and
+//! never trip — pinned to its whole outcome: all sixteen `BrokerCounters`, the bit
 //! patterns of the byte totals, p99 staleness, admission wait, recovery
 //! time and wall clock, and a CRC-32 of the three series rendered as CSV.
 //!
@@ -13,7 +13,10 @@
 //! per-viewer state was split into a shared policy and an inline ladder**
 //! (`QosController` + `VecDeque` breaker history per client), and has to
 //! match on every commit after it: a change to how the broker *stores* a
-//! viewer may not change what the broker *does*. To re-record after an
+//! viewer may not change what the broker *does*. The one exception is the
+//! flap squad that never trips (`trip2/window30`): it was added when
+//! `run_broker` stopped re-arming flap drops at its safety horizon, and
+//! before that change the run never returned. To re-record after an
 //! intended behaviour change, empty `GOLDEN` and paste the table the
 //! failure prints.
 
@@ -124,10 +127,11 @@ fn cases() -> Vec<(String, BrokerConfig)> {
     }
     // Flappers drop 45 s after each admission, so a 60 s window never
     // holds more than two of their failures: `trip_after` 1 and 2 trip on
-    // it, 5 needs the default 600 s window. (A squad that never trips is
-    // not in the corpus because such a run never ends: flap and re-admit
-    // events keep each other alive past the tick safety horizon.)
-    for (trip_after, window_secs) in [(1, 60.0), (2, 60.0), (5, 600.0)] {
+    // it, 5 needs the default 600 s window, and a 30 s window never holds
+    // two, so that squad never trips: its flap and re-admit events would
+    // keep each other alive forever, and the run ends at the broker's
+    // safety horizon instead.
+    for (trip_after, window_secs) in [(1, 60.0), (2, 60.0), (5, 600.0), (2, 30.0)] {
         let mut cfg = config(11, loadgen::ramp_with_flappers(300, 30), 3600.0);
         cfg.breaker = BreakerConfig {
             trip_after,
@@ -241,12 +245,10 @@ fn modeled_broker_matches_the_recorded_corpus() {
     assert!(counters("link_sag/200/drop").frames_shed > 0);
     assert!(counters("link_sag/200/kick").bulkhead_disconnects > 0);
     assert_eq!(counters("link_sag/200/demote").frames_shed, 0);
-    for trip in ["trip1", "trip2", "trip5"] {
-        assert_eq!(
-            counters(&format!("flappers/300+30/{trip}/")).quarantined,
-            30
-        );
+    for trip in ["trip1/window60", "trip2/window60", "trip5/window600"] {
+        assert_eq!(counters(&format!("flappers/300+30/{trip}")).quarantined, 30);
     }
+    assert_eq!(counters("flappers/300+30/trip2/window30").quarantined, 0);
     // 20 of the 520 are flappers and always trip; the rest trip only when
     // the window still holds the earlier outage.
     assert_eq!(
@@ -344,6 +346,10 @@ const GOLDEN: &[(&str, &str)] = &[
     (
         "ramp_with_flappers/300+30/trip5/window600",
         "clients=330 admitted=450 deferred=0 resume_failures=0 kicks=0 quarantined=30 produced=120 delivered=33378 shed=0 starvation=0 demotions=0 promotions=0 deepest=0 peak_connected=330 peak_ring=60 cursor_advance=33378 live=421f15ef72000000 catchup=0000000000000000 p99=0000000000000000 wait=0000000000000000 recovery=none wall=40ac200000000000 drained=true series=61aa969f",
+    ),
+    (
+        "ramp_with_flappers/300+30/trip2/window30",
+        "clients=330 admitted=26100 deferred=0 resume_failures=0 kicks=0 quarantined=0 produced=120 delivered=35868 shed=0 starvation=0 demotions=0 promotions=0 deepest=0 peak_connected=330 peak_ring=60 cursor_advance=35868 live=4220b3cc7e000000 catchup=0000000000000000 p99=0000000000000000 wait=0000000000000000 recovery=none wall=40e355bc0d8399b4 drained=true series=02a292b2",
     ),
     (
         "repeated_outages/500/trip1/window60/seed1",

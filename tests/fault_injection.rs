@@ -5,13 +5,17 @@
 //! baseline under the same fault.
 
 use climate_adaptive::adaptive::decision::AlgorithmKind;
-use climate_adaptive::adaptive::net_transport::{FrameReceiver, ReceiverOptions};
 use climate_adaptive::adaptive::orchestrator::{Fault, FaultPlan, Orchestrator, RunOptions};
-use climate_adaptive::adaptive::resilience::{BackoffPolicy, ResilientSender};
+use climate_adaptive::adaptive::qos::QosRung;
+use climate_adaptive::adaptive::server::{
+    FrameServer, RemoteViewer, ServerConfig, ViewerConfig, ViewerEnd,
+};
 use climate_adaptive::prelude::*;
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 fn opts() -> RunOptions {
     RunOptions {
@@ -147,86 +151,130 @@ fn test_payloads(n: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// The PR's acceptance case: kill the receiver daemon mid-stream and
-/// assert the sender reconnects with backoff, replays the unacked frame,
-/// and the final track is byte-identical to a fault-free run.
+fn serving_cfg() -> ServerConfig {
+    ServerConfig {
+        handshake_deadline: Duration::from_millis(500),
+        write_deadline: Duration::from_millis(500),
+        ack_deadline: Duration::from_millis(500),
+        ..ServerConfig::default()
+    }
+}
+
+/// Run `viewer` on its own thread until `stop` is raised or a server
+/// drains it.
+fn spawn_viewer(
+    mut viewer: RemoteViewer,
+    stop: &Arc<AtomicBool>,
+) -> JoinHandle<(RemoteViewer, ViewerEnd)> {
+    let stop = Arc::clone(stop);
+    std::thread::spawn(move || {
+        let end = viewer.run(&stop);
+        (viewer, end)
+    })
+}
+
+/// Block until `server` has `n` sockets admitted (a viewer's cursor is
+/// set by then, so nothing published afterwards passes it by).
+fn wait_connected(server: &FrameServer, n: u64) {
+    let t0 = Instant::now();
+    while server.connected() != n {
+        assert!(t0.elapsed() < Duration::from_secs(10), "want {n} connected");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// The acceptance case for transport healing: the server is dropped
+/// without a drain while a frame is in flight, a replacement on another
+/// port resumes the sequence space and republishes from the simulation
+/// site's durable copy, and the viewer — re-pointed — resumes from its
+/// own watermark. The track is byte-identical to an unfaulted serve.
 #[test]
-fn receiver_kill_mid_stream_is_healed_by_the_resilient_sender() {
+fn server_killed_mid_stream_is_healed_by_a_resuming_replacement() {
     let payloads = test_payloads(6);
+    let stop = Arc::new(AtomicBool::new(false));
 
     // Fault-free baseline.
     let baseline = {
-        let receiver = FrameReceiver::start().expect("bind");
-        let addr = receiver.addr();
-        let mut sender = ResilientSender::new(move || addr, BackoffPolicy::new(7));
+        let server = FrameServer::start(serving_cfg()).expect("bind");
+        let viewer =
+            RemoteViewer::new(server.addr().expect("remote"), ViewerConfig::loopback(1, 7));
+        let running = spawn_viewer(viewer, &stop);
+        wait_connected(&server, 1);
         for p in &payloads {
-            sender.send(p).expect("healthy path");
+            server.publish(QosRung::FullRes, p.clone());
         }
-        receiver.shutdown().to_csv()
+        server.drain();
+        let (viewer, end) = running.join().expect("viewer thread");
+        assert_eq!(end, ViewerEnd::Drained);
+        viewer.track().to_csv()
     };
 
-    // Faulted run: the receiver dies while receiving frame 3 — after the
-    // bytes arrive but before the frame is applied or acked.
-    let receiver1 = FrameReceiver::start_with(ReceiverOptions {
-        kill_after_frames: Some(3),
-        ..Default::default()
-    })
-    .expect("bind");
-    let addr = Arc::new(Mutex::new(receiver1.addr()));
-
-    // Ops stand-in: notices the dead daemon and restarts it from its
-    // persisted state — on a *different* port, as a relaunched service
-    // would be.
-    let watcher_addr = Arc::clone(&addr);
-    let watcher = std::thread::spawn(move || {
-        while !receiver1.is_finished() {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let resume_seq = receiver1.last_applied();
-        let resume_track = receiver1.shutdown();
-        assert_eq!(resume_seq, 2, "frame 3 died before being applied");
-        let receiver2 = FrameReceiver::start_with(ReceiverOptions {
-            resume_track,
-            resume_seq,
-            kill_after_frames: None,
-        })
-        .expect("bind replacement");
-        *watcher_addr.lock().unwrap() = receiver2.addr();
-        receiver2
-    });
-
-    let sender_addr = Arc::clone(&addr);
-    let mut sender = ResilientSender::new(
-        move || *sender_addr.lock().unwrap(),
-        BackoffPolicy::new(11)
-            .with_base(Duration::from_millis(20))
-            .with_max_attempts(12),
-    )
-    .with_io_timeout(Duration::from_millis(300));
-    for p in &payloads {
-        sender.send(p).expect("resilient path delivers every frame");
+    // Faulted run: frames 1 and 2 are acknowledged; frame 3 enters the
+    // ring and the server dies with it in flight — no drain, no DRAIN
+    // control, so the viewer learns nothing but a dead socket. Whether
+    // frame 3 reached the viewer first is a race; both outcomes must heal
+    // to the same track.
+    let server1 = FrameServer::start(serving_cfg()).expect("bind");
+    let viewer = RemoteViewer::new(
+        server1.addr().expect("remote"),
+        ViewerConfig::loopback(1, 11),
+    );
+    let running = spawn_viewer(viewer, &stop);
+    wait_connected(&server1, 1);
+    for p in &payloads[..2] {
+        server1.publish(QosRung::FullRes, p.clone());
     }
-    let stats = sender.stats();
+    let t0 = Instant::now();
+    while server1.counters().frames_delivered < 2 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "frames 1-2 acked");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // The simulation site may release what every viewer acknowledged;
+    // the rest stays durable.
+    let released = server1.counters().frames_delivered;
+    server1.publish(QosRung::FullRes, payloads[2].clone());
+    drop(server1);
+
+    // Ops stand-in: a replacement on a fresh port resumes the ring at the
+    // release point and republishes the durable frames.
+    let server2 = FrameServer::start_resuming(serving_cfg(), released).expect("bind replacement");
+    for p in &payloads[released as usize..3] {
+        server2.publish(QosRung::FullRes, p.clone());
+    }
+    stop.store(true, Ordering::SeqCst);
+    let (mut viewer, end) = running.join().expect("viewer thread");
+    assert_eq!(end, ViewerEnd::Stopped);
+    assert!(
+        viewer.last_applied() >= released,
+        "the watermark survives the kill"
+    );
+    viewer.set_addr(server2.addr().expect("remote"));
+    stop.store(false, Ordering::SeqCst);
+    let running = spawn_viewer(viewer, &stop);
+    wait_connected(&server2, 1);
+    for p in &payloads[3..] {
+        server2.publish(QosRung::FullRes, p.clone());
+    }
+    let report = server2.drain();
+    let (viewer, end) = running.join().expect("viewer thread");
+    assert_eq!(end, ViewerEnd::Drained);
+
+    let stats = viewer.stats();
     assert!(
         stats.reconnects >= 1,
         "reconnected after the kill: {stats:?}"
     );
-    assert!(
-        stats.replays >= 1,
-        "the unacked frame was replayed: {stats:?}"
-    );
-    assert_eq!(stats.frames_acked, 6, "{stats:?}");
-
-    let receiver2 = watcher.join().expect("watcher thread");
+    assert_eq!(stats.shed, 0, "{stats:?}");
+    assert_eq!(report.counters.frames_shed, 0, "{:?}", report.counters);
     assert_eq!(
-        receiver2.last_applied(),
-        6,
+        viewer.applied_seqs(),
+        [1, 2, 3, 4, 5, 6],
         "every frame applied exactly once"
     );
-    let healed = receiver2.shutdown().to_csv();
     assert_eq!(
-        healed, baseline,
-        "track is byte-identical to the fault-free run"
+        viewer.track().to_csv(),
+        baseline,
+        "track is byte-identical to the fault-free serve"
     );
 }
 

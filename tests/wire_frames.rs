@@ -1,6 +1,5 @@
 //! AFR3 on the wire, seen from outside the crate: raw `TcpStream` peers
-//! against `FrameServer`, `RemoteViewer` and `FrameReceiver`, public API
-//! only.
+//! against `FrameServer` and `RemoteViewer`, public API only.
 //!
 //! The 21-byte headers here are laid out by hand from DESIGN §16
 //! (`AFR3 | u64 LE seq | u32 LE len | u32 LE crc32(body) | u8 rung`), so
@@ -13,15 +12,16 @@
 //!   header equals the hand layout, a replayed frame is byte-identical to
 //!   its live delivery, and each stream's length + CRC-32 matches what
 //!   the commit *before* checksums moved into the ring entry wrote.
-//! - **What a hostile peer sends costs the receiver nothing up front.**
+//! - **What a hostile server sends costs the viewer nothing up front.**
 //!   Bad magic, unknown rung, oversized length, a 1 GiB length backed by
-//!   ten bytes (then FIN, or then silence), CRC mismatch, truncated body:
-//!   the viewer drops the connection, resumes from its watermark and
-//!   still applies `1..=N` exactly once; the receiver daemon nacks or
-//!   closes as before. Under a recording allocator no single allocation
-//!   in this whole test binary exceeds one growth step (1 MiB) plus slack.
+//!   ten bytes (then FIN, or then silence), CRC mismatch, truncated body;
+//!   and in place of the admission verdict, a reply cut at every byte, an
+//!   unknown status, a stalled reply and an endless deferral: the viewer
+//!   drops the connection, backs off, resumes from its watermark and
+//!   still applies `1..=N` exactly once. Under a recording allocator no
+//!   single allocation in this whole test binary exceeds one growth step
+//!   (1 MiB) plus slack.
 
-use climate_adaptive::adaptive::net_transport::FrameReceiver;
 use climate_adaptive::adaptive::qos::{encode_fix, QosRung};
 use climate_adaptive::adaptive::resilience::crc32;
 use climate_adaptive::adaptive::server::{
@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Recording allocator (the idea of `crates/ncdf/tests/proptest_roundtrip.rs`,
-// process-wide because the receivers under test run on their own threads)
+// process-wide because the viewer under test runs on its own thread)
 // ---------------------------------------------------------------------------
 
 /// Largest single allocation any thread of this test binary has made.
@@ -78,10 +78,10 @@ static ALLOC: Recording = Recording;
 
 /// One receive-buffer growth step plus slack for everything else a test
 /// process allocates. Nothing in this file builds a body anywhere near it,
-/// so the high-water mark of the whole binary is the receivers'.
+/// so the high-water mark of the whole binary is the viewer's.
 const ALLOC_BOUND: usize = (1 << 20) + (64 << 10);
 
-/// The receivers' frame-length cap (`net_transport::MAX_FRAME_BYTES`, which
+/// The viewer's frame-length cap (`net_transport::MAX_FRAME_BYTES`, which
 /// is crate-private): the largest length a header may advertise.
 const MAX_FRAME_BYTES: u32 = 1 << 30;
 
@@ -256,16 +256,46 @@ impl Attack {
 // Hostile server against `RemoteViewer`
 // ---------------------------------------------------------------------------
 
-/// Accept one viewer connection: read its AHL2 hello, admit it at the
-/// cursor it claims, and return the stream with that cursor.
-fn admit_viewer(listener: &TcpListener) -> (TcpStream, u64) {
+/// Accept one viewer connection and read its AHL2 hello: the stream and
+/// the cursor the viewer claims.
+fn accept_hello(listener: &TcpListener) -> (TcpStream, u64) {
     let mut stream = tuned(listener.accept().expect("viewer connects").0);
     let mut hello = [0u8; 20];
     stream.read_exact(&mut hello).expect("20-byte hello");
     assert_eq!(&hello[0..4], b"AHL2");
     let cursor = u64::from_le_bytes(hello[12..20].try_into().expect("8 bytes"));
+    (stream, cursor)
+}
+
+/// Accept one viewer connection: read its AHL2 hello, admit it at the
+/// cursor it claims, and return the stream with that cursor.
+fn admit_viewer(listener: &TcpListener) -> (TcpStream, u64) {
+    let (mut stream, cursor) = accept_hello(listener);
     stream.write_all(&status(b'+', cursor)).expect("admission");
     (stream, cursor)
+}
+
+/// What a hostile server answers a viewer's hello with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// The first `n` bytes of an honest admission, then FIN.
+    CutAt(usize),
+    /// A full record whose status byte the protocol does not define.
+    UnknownStatus,
+    /// Half an admission, then silence past the viewer's I/O timeout.
+    Stalled,
+    /// Deferred for `u64::MAX` ms.
+    DeferForever,
+}
+
+fn verdicts() -> Vec<Verdict> {
+    let mut all: Vec<Verdict> = (0..9).map(Verdict::CutAt).collect();
+    all.extend([
+        Verdict::UnknownStatus,
+        Verdict::Stalled,
+        Verdict::DeferForever,
+    ]);
+    all
 }
 
 /// Send honest frame `seq` and require the viewer's ack for exactly it.
@@ -312,9 +342,58 @@ fn viewer_survives_hostile_frames_and_applies_every_sequence_once() {
         );
     }
 
+    // Then one connection per hostile verdict, each in place of the
+    // admission: the viewer gives the connection up and comes back with its
+    // watermark unchanged, never sooner than one backoff step (base 5 ms at
+    // half jitter) after the verdict let it go.
+    let watermark = ATTACKS.len() as u64;
+    let mut let_go: Option<Instant> = None;
+    for verdict in verdicts() {
+        let (mut stream, cursor) = accept_hello(&listener);
+        if let Some(t) = let_go {
+            let slept = t.elapsed();
+            assert!(
+                slept >= Duration::from_micros(2500),
+                "hello before {verdict:?} came {slept:?} after the last verdict"
+            );
+        }
+        assert_eq!(cursor, watermark, "hello before {verdict:?}");
+        let honest = status(b'+', cursor);
+        // Each arm stamps `let_go` before the viewer can act on the verdict.
+        match verdict {
+            Verdict::CutAt(n) => {
+                stream.write_all(&honest[..n]).expect("cut reply");
+                let_go = Some(Instant::now());
+                drop(stream);
+            }
+            Verdict::UnknownStatus => {
+                let_go = Some(Instant::now());
+                stream.write_all(&status(b'?', cursor)).expect("reply");
+            }
+            Verdict::Stalled => {
+                let_go = Some(Instant::now());
+                stream.write_all(&honest[..4]).expect("half a reply");
+                let took = wait_for_hangup(&mut stream, io_timeout + Duration::from_secs(3));
+                assert!(
+                    took < io_timeout + Duration::from_secs(2),
+                    "a stalled verdict is given up at the I/O deadline, not after {took:?}"
+                );
+            }
+            Verdict::DeferForever => {
+                let_go = Some(Instant::now());
+                stream.write_all(&status(b'~', u64::MAX)).expect("defer");
+            }
+        }
+    }
+
     // The honest successor: everything after the watermark, then a drain.
     let (mut stream, cursor) = admit_viewer(&listener);
-    assert_eq!(cursor, ATTACKS.len() as u64);
+    let deferred_for = let_go.expect("verdicts were sent").elapsed();
+    assert!(
+        (Duration::from_secs(2)..Duration::from_secs(4)).contains(&deferred_for),
+        "a u64::MAX ms deferral is honoured for the 2 s cap, took {deferred_for:?}"
+    );
+    assert_eq!(cursor, watermark);
     for seq in cursor + 1..=TOTAL {
         serve_honest(&mut stream, seq);
     }
@@ -329,107 +408,18 @@ fn viewer_survives_hostile_frames_and_applies_every_sequence_once() {
         (s.delivered, s.deduped, s.shed, s.decode_failures),
         (TOTAL, 0, 0, 0)
     );
-    assert_eq!(s.reconnects, ATTACKS.len() as u64);
+    assert_eq!(
+        s.reconnects,
+        ATTACKS.len() as u64,
+        "refused verdicts admit nothing"
+    );
+    assert_eq!(s.deferrals, 1);
     let fixes = viewer.track().fixes();
     assert_eq!(fixes.len() as u64, TOTAL);
     for (fix, seq) in fixes.iter().zip(1..) {
         assert_eq!(encode_fix(fix), fix_body(seq), "fix {seq} bit-exact");
     }
     assert_no_allocation_ahead_of_the_bytes("RemoteViewer");
-}
-
-// ---------------------------------------------------------------------------
-// Hostile sender against `FrameReceiver`
-// ---------------------------------------------------------------------------
-
-/// Connect to the receiver daemon and read its 12-byte hello.
-fn dial_receiver(addr: SocketAddr) -> (TcpStream, u64) {
-    let mut stream = tuned(TcpStream::connect(addr).expect("connect"));
-    let mut hello = [0u8; 12];
-    stream.read_exact(&mut hello).expect("12-byte hello");
-    assert_eq!(&hello[0..4], b"AHL2");
-    (
-        stream,
-        u64::from_le_bytes(hello[4..12].try_into().expect("8 bytes")),
-    )
-}
-
-#[test]
-fn receiver_daemon_nacks_or_closes_on_hostile_frames_and_keeps_its_track() {
-    let receiver = FrameReceiver::start().expect("bind");
-    let addr = receiver.addr();
-    let mut applied = 0u64;
-
-    // The silent peer is kept for last: the daemon serves one connection at
-    // a time and has no body deadline, only its stop flag.
-    for attack in ATTACKS
-        .into_iter()
-        .filter(|a| *a != Attack::HugeLengthTenBytesThenSilence)
-    {
-        let (mut stream, hello) = dial_receiver(addr);
-        assert_eq!(
-            hello, applied,
-            "hello reports the watermark, before {attack:?}"
-        );
-        applied += 1;
-        stream
-            .write_all(&afr3_frame(applied, TRACK_ONLY, &fix_body(applied)))
-            .expect("honest frame");
-        assert_eq!(read_status(&mut stream), (b'+', applied));
-
-        let (bytes, fin) = attack.bytes(applied + 1);
-        stream.write_all(&bytes).expect("attack written");
-        if fin {
-            stream.shutdown(Shutdown::Write).expect("FIN");
-        }
-        match attack {
-            Attack::BadMagic | Attack::UnknownRung | Attack::OversizedLength => {
-                assert_eq!(read_status(&mut stream), (b'!', applied), "{attack:?}");
-            }
-            Attack::CrcMismatch => {
-                // Rejected, not fatal: the same connection still works.
-                assert_eq!(read_status(&mut stream), (b'-', applied));
-                applied += 1;
-                stream
-                    .write_all(&afr3_frame(applied, TRACK_ONLY, &fix_body(applied)))
-                    .expect("honest frame after the nack");
-                assert_eq!(read_status(&mut stream), (b'+', applied));
-                drop(stream);
-                continue;
-            }
-            _ => {}
-        }
-        // Violations and cut-off bodies end the connection, ack-less.
-        wait_for_hangup(&mut stream, Duration::from_secs(3));
-    }
-
-    let (mut stream, hello) = dial_receiver(addr);
-    assert_eq!(hello, applied);
-    let (bytes, _) = Attack::HugeLengthTenBytesThenSilence.bytes(applied + 1);
-    stream.write_all(&bytes).expect("attack written");
-    std::thread::sleep(Duration::from_millis(200));
-    assert_eq!(
-        receiver.last_applied(),
-        applied,
-        "nothing applied on a promise"
-    );
-    let t0 = Instant::now();
-    let track = receiver.shutdown();
-    assert!(
-        t0.elapsed() < Duration::from_secs(2),
-        "a body that never arrives does not hold up shutdown ({:?})",
-        t0.elapsed()
-    );
-
-    assert_eq!(
-        track.fixes().len() as u64,
-        applied,
-        "honest frames, once each"
-    );
-    for (fix, seq) in track.fixes().iter().zip(1..) {
-        assert_eq!(encode_fix(fix), fix_body(seq), "fix {seq} bit-exact");
-    }
-    assert_no_allocation_ahead_of_the_bytes("FrameReceiver");
 }
 
 // ---------------------------------------------------------------------------
